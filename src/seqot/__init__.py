@@ -21,7 +21,7 @@ from .ot_core import (
     ipot_solve,
     marginal_violation,
 )
-from .seq_match import PairScore, SeqDistribution, score_pair, seq_distribution, seq_wasserstein, wasserstein_reward
+from .seq_match import PairScore, score_pair
 from .text_metrics import BleuReport, corpus_bleu, f1_bleu, naive_semantic_score, self_bleu
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "OovPolicy",
     "PAD_TOKEN",
     "PairScore",
-    "SeqDistribution",
     "TransportPlan",
     "build_cost_matrix",
     "corpus_bleu",
@@ -52,7 +51,4 @@ __all__ = [
     "resolve",
     "score_pair",
     "self_bleu",
-    "seq_distribution",
-    "seq_wasserstein",
-    "wasserstein_reward",
 ]

@@ -83,18 +83,16 @@ class TransportPlan:
         return float(self.values.sum())
 
 
-def marginal_violation(plan: TransportPlan) -> float:
-    """L1 sum of row- and column-marginal deviations of ``plan``."""
-    rows = np.abs(plan.values.sum(axis=1) - plan.row_marginal).sum()
-    cols = np.abs(plan.values.sum(axis=0) - plan.col_marginal).sum()
+def marginal_violation(plan: TransportPlan | np.ndarray) -> float:
+    """L1 sum of row- and column-marginal deviations of ``plan``; a bare
+    ``n x m`` coupling is measured against the uniform ``1/n`` and ``1/m``."""
+    if isinstance(plan, TransportPlan):
+        values, row, col = plan.values, plan.row_marginal, plan.col_marginal
+    else:
+        values, row, col = plan, 1.0 / plan.shape[0], 1.0 / plan.shape[1]
+    rows = np.abs(values.sum(axis=1) - row).sum()
+    cols = np.abs(values.sum(axis=0) - col).sum()
     return float(rows + cols)
-
-
-def _violation(values: np.ndarray, row_marginal: float, col_marginal: float) -> float:
-    return float(
-        np.abs(values.sum(axis=1) - row_marginal).sum()
-        + np.abs(values.sum(axis=0) - col_marginal).sum()
-    )
 
 
 def ipot_solve(
@@ -133,7 +131,7 @@ def ipot_solve(
             delta = 1.0 / np.maximum(n * (q @ sigma), floor)
             sigma = 1.0 / np.maximum(m * (q.T @ delta), floor)
         new_plan = delta[:, None] * q * sigma[None, :]
-        violation = _violation(new_plan, row_marginal, col_marginal)
+        violation = marginal_violation(new_plan)
         step = float(np.abs(new_plan - plan).max())
         used = it
         if trace is not None:

@@ -12,35 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .embeddings import PAD_TOKEN, CostMatrix, EmbeddingTable, build_cost_matrix, resolve
+from .embeddings import CostMatrix, EmbeddingTable, build_cost_matrix
 from .ot_core import DEFAULT_IPOT, IpotConfig, TransportPlan, ipot_solve
-
-
-@dataclass(frozen=True)
-class SeqDistribution:
-    """A (possibly padded) sequence as a uniform distribution over embeddings.
-
-    ``weights`` are exactly ``1/L`` each. Rows of ``embed`` for pad
-    positions are zero placeholders: costs involving pads are fixed by
-    convention, never computed from these rows.
-    """
-
-    tokens: tuple[str, ...]
-    weights: np.ndarray
-    embed: np.ndarray
-
-
-def seq_distribution(table: EmbeddingTable, tokens: Sequence[str], pad_to: int | None = None) -> SeqDistribution:
-    """Render ``tokens`` (right-padded to ``pad_to`` if given) as a distribution."""
-    if len(tokens) == 0:
-        raise ValueError("cannot build a distribution from an empty sequence")
-    padded = tuple(tokens) + (PAD_TOKEN,) * (max(pad_to or 0, len(tokens)) - len(tokens))
-    embed = np.zeros((len(padded), table.dim))
-    embed[: len(tokens)] = resolve(table, tokens)
-    size = len(padded)
-    return SeqDistribution(tokens=padded, weights=np.full(size, 1.0 / size), embed=embed)
 
 
 @dataclass(frozen=True)
@@ -65,23 +38,3 @@ def score_pair(
     reward = float((plan.values * (1.0 - cm.values)).sum())
     return PairScore(distance=plan.cost, reward=reward, plan=plan, cost_matrix=cm)
 
-
-def seq_wasserstein(
-    table: EmbeddingTable,
-    hyp: Sequence[str],
-    ref: Sequence[str],
-    config: IpotConfig = DEFAULT_IPOT,
-) -> tuple[float, TransportPlan]:
-    """Transport distance between the two sequences' embedding distributions."""
-    scored = score_pair(table, hyp, ref, config)
-    return scored.distance, scored.plan
-
-
-def wasserstein_reward(
-    table: EmbeddingTable,
-    hyp: Sequence[str],
-    ref: Sequence[str],
-    config: IpotConfig = DEFAULT_IPOT,
-) -> float:
-    """``<T*, 1 - C>`` similarity in [-1, 1]; equals 1 - distance for unit mass."""
-    return score_pair(table, hyp, ref, config).reward

@@ -12,7 +12,7 @@ from .gradients import (
     wsil_d_grad,
     wsil_i_grad,
 )
-from .policy import Policy, PolicyKind, Trajectory, greedy_decode, sample_trajectories, soft_argmax
+from .policy import Policy, PolicyKind, Trajectory, greedy_decode, sample_trajectories
 from .train import TrainResult, file_log_record, pretrain_mle, schedule_kinds, schedule_ratio, train
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "sample_trajectories",
     "schedule_kinds",
     "schedule_ratio",
-    "soft_argmax",
     "train",
     "wsil_d_grad",
     "wsil_i_grad",

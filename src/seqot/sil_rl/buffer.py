@@ -172,7 +172,7 @@ def buffer_update(
         elif criterion is BufferCriterion.F1_BLEU:
             score = _f1_bleu_score(buffer, traj, env, bleu_order)
         elif criterion is BufferCriterion.NESTED_REWARD:
-            score = _reference_transport_score(traj, env)
+            score = _require_env(env).reference_reward(traj.tokens, traj.condition)
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown criterion {criterion!r}")
         buffer.add(
@@ -202,14 +202,3 @@ def _f1_bleu_score(buffer: ReplayBuffer, traj, env, order: int) -> float:
     redundancy = corpus_bleu([traj.tokens], held, order) if held else 0.0
     return f1_bleu(quality, redundancy)
 
-
-def _reference_transport_score(traj, env) -> float:
-    env = _require_env(env)
-    refs = env.references_for(traj.condition)
-    if not refs:
-        raise ValueError("transport criterion needs environment references")
-    from ..seq_match import score_pair  # local import: envs already imports seq_match
-
-    words = [str(t) for t in traj.tokens]
-    rewards = [score_pair(env.table, words, [str(t) for t in r], env.ot_config).reward for r in refs]
-    return float(np.mean(rewards))

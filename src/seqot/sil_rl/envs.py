@@ -110,11 +110,8 @@ class ToyEnv:
             raise ValueError("horizon must be >= 1")
         if self.reward_fn is RewardKind.ORACLE_LOGPROB and self.oracle is None:
             raise ValueError("oracle_logprob reward needs a MarkovOracle")
-        if self.reward_fn in (RewardKind.TARGET_OVERLAP, RewardKind.CONDITIONAL):
-            if not self.references:
-                raise ValueError("overlap rewards need reference sequences")
-            if self.table is None:
-                self.table = basis_embedding_table(self.vocab_size)
+        if self.reward_fn in (RewardKind.TARGET_OVERLAP, RewardKind.CONDITIONAL) and not self.references:
+            raise ValueError("overlap rewards need reference sequences")
         if self.table is None:
             self.table = basis_embedding_table(self.vocab_size)
 
@@ -135,16 +132,19 @@ class ToyEnv:
 
     def reward(self, tokens: Sequence[int], condition: int | None = None) -> float:
         key = (condition if self.conditional else None, tuple(tokens))
-        hit = self._reward_cache.get(key)
-        if hit is not None:
-            return hit
-        value = self._compute_reward(key[1], key[0])
-        self._reward_cache[key] = value
+        value = self._reward_cache.get(key)
+        if value is None:
+            cond, seq = key
+            if self.reward_fn is RewardKind.ORACLE_LOGPROB:
+                value = self.oracle.logprob(seq)
+            else:
+                value = self.reference_reward(seq, cond)
+            self._reward_cache[key] = value
         return value
 
-    def _compute_reward(self, tokens: tuple[int, ...], condition: int | None) -> float:
-        if self.reward_fn is RewardKind.ORACLE_LOGPROB:
-            return self.oracle.logprob(tokens)
+    def reference_reward(self, tokens: Sequence[int], condition: int | None = None) -> float:
+        """Mean transport reward of ``tokens`` against the condition's
+        references: the overlap rewards and the buffer's transport criterion."""
         refs = self.references_for(condition)
         if not refs:
             raise ValueError(f"no references for condition {condition!r}")

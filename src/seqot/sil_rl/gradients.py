@@ -1,19 +1,29 @@
 """Policy-gradient estimators: plain baseline REINFORCE plus the indirect
 and direct self-imitation updates.
 
-All gradients point in the ascent direction. The indirect update augments
-each sampled trajectory's advantage with a gated, plan-weighted similarity
-to buffered high-reward sequences, and the elite replay term that the
-training loop adds to it replays the buffered sequences that beat the
-baseline; the direct update replays buffered sequences themselves with
-positively clamped advantages. Ablation variants replace the transport
-machinery with uniform weights over mean-embedding similarities.
+Every estimator here is one weighted score-function sum
+``sum_k w_k grad log pi(y_k)``, a single ``Policy.grad_log_prob`` call over
+a token batch; only the sequences and their weights differ:
+
+- REINFORCE: the current samples, weights ``(r_k - baseline) / K``;
+- indirect self-imitation: the current samples, weights ``lambda *
+  sum_j w_kj * s_kj * I[score(b_j) > r_k] / K`` from the gated,
+  plan-weighted similarity to buffered high-reward sequences, added to the
+  REINFORCE term;
+- elite replay, which the training loop adds to the indirect update: the
+  buffered sequences, weights ``lambda * (r(b_j) - baseline)_+ / K'``;
+- direct self-imitation: the buffered sequences, weights ``lambda *
+  (score_j - mean score)_+``;
+- the exact enumeration oracle: every sequence, weights
+  ``pi(Y) (r(Y) - baseline)``.
+
+All gradients point in the ascent direction. Ablation variants replace the
+transport machinery with uniform weights over mean-embedding similarities.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -27,14 +37,16 @@ from .envs import ToyEnv
 from .policy import Policy, Trajectory
 
 
+def _tokens(items) -> list[tuple[int, ...]]:
+    return [item.tokens for item in items]
+
+
 def reinforce_grad(trajs: Sequence[Trajectory], policy: Policy, baseline: float) -> np.ndarray:
     """Mean of ``(reward - baseline) * grad log pi`` over the batch."""
     if not trajs:
         raise ValueError("need at least one trajectory")
-    grad = np.zeros_like(policy.params)
-    for traj in trajs:
-        grad += (traj.reward - baseline) * policy.grad_log_prob(traj.tokens)
-    return grad / len(trajs)
+    advantages = np.array([traj.reward for traj in trajs]) - baseline
+    return policy.grad_log_prob(_tokens(trajs), advantages) / len(trajs)
 
 
 def _words(tokens: Sequence[int]) -> list[str]:
@@ -99,11 +111,7 @@ def wsil_i_grad(
 
     weights, rewards = _pair_weights_and_rewards(trajs, buffer_sample, table, config)
     coef = config.lambda_sil * (weights * rewards * gate).sum(axis=1)
-    sil = np.zeros_like(policy.params)
-    for traj, c in zip(trajs, coef):
-        if c != 0.0:
-            sil += c * policy.grad_log_prob(traj.tokens)
-    return rl + sil / len(trajs)
+    return rl + policy.grad_log_prob(_tokens(trajs), coef) / len(trajs)
 
 
 def elite_replay_grad(
@@ -126,13 +134,11 @@ def elite_replay_grad(
     """
     if not buffer_sample:
         raise ValueError("buffer sample must be nonempty (skip the SIL step instead)")
-    grad = np.zeros_like(policy.params)
     if config.lambda_sil == 0.0:
-        return grad
-    for entry in buffer_sample:
-        advantage = env.reward(entry.tokens, condition) - baseline
-        if advantage > 0.0:
-            grad += advantage * policy.grad_log_prob(entry.tokens)
+        return np.zeros_like(policy.params)
+    rewards = np.array([env.reward(entry.tokens, condition) for entry in buffer_sample])
+    advantages = np.maximum(rewards - baseline, 0.0)
+    grad = policy.grad_log_prob(_tokens(buffer_sample), advantages)
     return config.lambda_sil * grad / len(buffer_sample)
 
 
@@ -176,11 +182,7 @@ def wsil_d_grad(
         scores = result.per_hyp_reward
 
     advantages = np.maximum(scores - scores.mean(), 0.0)
-    grad = np.zeros_like(policy.params)
-    for entry, adv in zip(buffer_sample, advantages):
-        if adv > 0.0:
-            grad += adv * policy.grad_log_prob(entry.tokens)
-    return config.lambda_sil * grad
+    return config.lambda_sil * policy.grad_log_prob(_tokens(buffer_sample), advantages)
 
 
 def enumerate_sequences(env: ToyEnv) -> list[tuple[int, ...]]:
@@ -189,6 +191,14 @@ def enumerate_sequences(env: ToyEnv) -> list[tuple[int, ...]]:
     if total > 4096:
         raise ValueError(f"enumeration of {total} sequences exceeds the 4096 cap")
     return [tuple(seq) for seq in itertools.product(range(env.vocab_size), repeat=env.horizon)]
+
+
+def _enumeration(policy: Policy, env: ToyEnv, condition: int | None):
+    """Every sequence, its probability under ``policy`` and its reward."""
+    seqs = enumerate_sequences(env)
+    probs = np.exp(policy.log_prob(seqs))
+    rewards = np.array([env.reward(seq, condition) for seq in seqs])
+    return seqs, probs, rewards
 
 
 def exact_policy_gradient(
@@ -202,18 +212,11 @@ def exact_policy_gradient(
     Computes ``sum_Y pi(Y) (r(Y) - baseline) grad log pi(Y)`` over every
     sequence the environment admits.
     """
-    grad = np.zeros_like(policy.params)
-    for seq in enumerate_sequences(env):
-        prob = math.exp(policy.log_prob(seq))
-        grad += prob * (env.reward(seq, condition) - baseline) * policy.grad_log_prob(seq)
-    return grad
+    seqs, probs, rewards = _enumeration(policy, env, condition)
+    return policy.grad_log_prob(seqs, probs * (rewards - baseline))
 
 
 def exact_expected_reward(policy: Policy, env: ToyEnv, condition: int | None = None) -> float:
     """Exact E[r(Y)] by full enumeration (testing oracle)."""
-    return float(
-        sum(
-            math.exp(policy.log_prob(seq)) * env.reward(seq, condition)
-            for seq in enumerate_sequences(env)
-        )
-    )
+    _, probs, rewards = _enumeration(policy, env, condition)
+    return float(probs @ rewards)

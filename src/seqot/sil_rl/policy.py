@@ -3,20 +3,21 @@
 Both policy classes condition each step on (position, previous token); the
 tabular kind keeps one logit row per (position, previous) pair while the
 linear kind adds a position column and a previous-token column of a weight
-matrix, which ties parameters across contexts. Exact log-probability
-gradients are available in closed form, which keeps finite-difference and
-enumeration oracles cheap.
+matrix, which ties parameters across contexts. Every computation goes
+through one batched step, ``step_probs_batch``, with a single sequence as
+the K=1 case. The one gradient primitive is the weighted score-function
+sum ``grad_log_prob(tokens[K, H], w) = sum_k w_k grad log pi(y_k)`` in
+closed form; every policy-gradient update is that sum with its own weights,
+and the closed form keeps finite-difference and enumeration oracles cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from ..embeddings import EmbeddingTable
 from .envs import ToyEnv
 
 
@@ -75,65 +76,80 @@ class Policy:
     def _weights(self) -> np.ndarray:
         return self.params.reshape(self.vocab_size, self.horizon + self.vocab_size + 1)
 
-    def logits(self, position: int, prev: int) -> np.ndarray:
+    def step_probs_batch(self, position: int | np.ndarray, prev: int | np.ndarray) -> np.ndarray:
+        """Next-token distributions, one row per (position, previous token)
+        context; ``position`` and ``prev`` are int arrays (or ints) that
+        broadcast against each other."""
         if self.kind is PolicyKind.TABULAR:
-            return self._table()[position, prev]
-        w = self._weights()
-        return w[:, position] + w[:, self.horizon + prev]
-
-    def logits_batch(self, position: int, prev: np.ndarray) -> np.ndarray:
-        if self.kind is PolicyKind.TABULAR:
-            return self._table()[position, prev]
-        w = self._weights()
-        return w[:, position][None, :] + w[:, self.horizon + prev].T
-
-    def step_probs(self, position: int, prev: int) -> np.ndarray:
-        return _softmax(self.logits(position, prev) / self.temperature)
-
-    def step_probs_batch(self, position: int, prev: np.ndarray) -> np.ndarray:
-        return _softmax(self.logits_batch(position, prev) / self.temperature, axis=1)
-
-    def step_logprobs(self, tokens: Sequence[int]) -> np.ndarray:
-        """Per-step log pi(y_t | position, previous token)."""
-        out = np.empty(len(tokens))
-        prev = self.start_index
-        for t, tok in enumerate(tokens):
-            probs = self.step_probs(t, prev)
-            out[t] = np.log(probs[tok])
-            prev = tok
-        return out
-
-    def log_prob(self, tokens: Sequence[int]) -> float:
-        return float(self.step_logprobs(tokens).sum())
-
-    def grad_log_prob(self, tokens: Sequence[int]) -> np.ndarray:
-        """Exact gradient of log pi(tokens) w.r.t. the flat parameters."""
-        grad = np.zeros_like(self.params)
-        prev = self.start_index
-        if self.kind is PolicyKind.TABULAR:
-            view = grad.reshape(self.horizon, self.vocab_size + 1, self.vocab_size)
-            for t, tok in enumerate(tokens):
-                probs = self.step_probs(t, prev)
-                row = -probs / self.temperature
-                row[tok] += 1.0 / self.temperature
-                view[t, prev] += row
-                prev = tok
+            logits = self._table()[position, prev]
         else:
-            view = grad.reshape(self.vocab_size, self.horizon + self.vocab_size + 1)
-            for t, tok in enumerate(tokens):
-                probs = self.step_probs(t, prev)
-                row = -probs / self.temperature
-                row[tok] += 1.0 / self.temperature
-                view[:, t] += row
-                view[:, self.horizon + prev] += row
-                prev = tok
-        return grad
+            by_column = self._weights().T
+            logits = by_column[position] + by_column[self.horizon + prev]
+        return _softmax(logits / self.temperature)
+
+    def _contexts(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions (H,) and previous tokens (K, H) of every step of a batch."""
+        start = np.full((len(batch), 1), self.start_index)
+        return np.arange(batch.shape[1]), np.hstack([start, batch])[:, :-1]
+
+    def step_logprobs(self, tokens) -> np.ndarray:
+        """Per-step log pi(y_t | position, previous token), shaped like ``tokens``."""
+        batch = _as_batch(tokens)
+        probs = self.step_probs_batch(*self._contexts(batch))
+        out = np.log(np.take_along_axis(probs, batch[..., None], axis=-1)[..., 0])
+        return out if np.ndim(tokens) == 2 else out[0]
+
+    def log_prob(self, tokens):
+        """log pi of one sequence (a float) or of each row of a (K, H) batch."""
+        total = self.step_logprobs(tokens).sum(axis=-1)
+        return total if np.ndim(tokens) == 2 else float(total)
+
+    def grad_log_prob(self, tokens, weights=None) -> np.ndarray:
+        """Weighted score-function sum ``sum_k w_k grad log pi(tokens[k])``.
+
+        ``tokens`` is one sequence (the K=1 case) or a (K, H) batch and
+        ``weights`` defaults to all ones. One ``step_probs_batch`` call
+        covers every step of the batch, and one ``np.add.at`` scatter per
+        touched parameter block builds each sequence's gradient in its own
+        row. The weighted rows are then summed from zero in batch order, so
+        a batch gives bit for bit the in-order sum of its rows' K=1
+        gradients.
+        """
+        batch = _as_batch(tokens)
+        k = len(batch)
+        v, tabular = self.vocab_size, self.kind is PolicyKind.TABULAR
+        w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
+        if w.shape != (k,):
+            raise ValueError(f"need one weight per sequence ({k}), got shape {w.shape}")
+        positions, prev = self._contexts(batch)
+        seq = np.arange(k)[:, None]
+        # d log softmax(z / T)[y] / dz = (onehot(y) - probs) / T
+        score = -self.step_probs_batch(positions, prev) / self.temperature
+        score[seq, positions, batch] += 1.0 / self.temperature
+        # The parameter rows a step touches: tabular row (t, prev) of the
+        # (H * (V+1), V) table; linear columns t and H + prev of the
+        # (V, H+V+1) weight matrix, stored transposed.
+        if tabular:
+            touched = [positions * (v + 1) + prev]
+            per_seq = np.zeros((k, self.horizon * (v + 1), v))
+        else:
+            touched = [positions, self.horizon + prev]
+            per_seq = np.zeros((k, self.horizon + v + 1, v))
+        for rows in touched:
+            np.add.at(per_seq, (seq, rows), score)
+        total = np.add.reduce(w[:, None, None] * per_seq, axis=0, initial=0.0)
+        return total.ravel() if tabular else total.T.ravel()
 
 
-def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def _as_batch(tokens) -> np.ndarray:
+    """One sequence or a (K, H) batch of them as a 2-D int array."""
+    return np.atleast_2d(np.asarray(tokens, dtype=int))
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -197,13 +213,13 @@ def greedy_decode(policy: Policy, env: ToyEnv, condition: int | None = None) -> 
     """Argmax decode; exact logit ties resolve to the lowest token id."""
     tokens = []
     logprobs = np.empty(env.horizon)
-    prev = policy.start_index
+    prev = np.array([policy.start_index])
     for t in range(env.horizon):
-        probs = policy.step_probs(t, prev)
+        probs = policy.step_probs_batch(t, prev)[0]
         tok = int(np.argmax(probs))
         logprobs[t] = np.log(probs[tok])
         tokens.append(tok)
-        prev = tok
+        prev = np.array([tok])
     return Trajectory(
         condition=condition,
         tokens=tuple(tokens),
@@ -211,19 +227,3 @@ def greedy_decode(policy: Policy, env: ToyEnv, condition: int | None = None) -> 
         reward=env.reward(tokens, condition),
     )
 
-
-def soft_argmax(logits: Sequence[float], table: EmbeddingTable, beta: float) -> np.ndarray:
-    """Temperature-sharpened softmax mix of the table's embedding rows.
-
-    The i-th logit corresponds to the i-th token of the table (insertion
-    order). As ``beta`` shrinks the mix approaches the argmax embedding.
-    """
-    values = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("logits must be finite")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if len(values) != len(table):
-        raise ValueError(f"got {len(values)} logits for a table of {len(table)} tokens")
-    weights = _softmax(values / beta)
-    return weights @ table.matrix()

@@ -27,7 +27,6 @@ from seqot import (
     nested_wasserstein,
     score_pair,
     self_bleu,
-    seq_wasserstein,
 )
 from seqot.cli import main as cli_main
 from seqot.sil_rl import (
@@ -107,7 +106,7 @@ def test_a3_reward_identities(toy_table):
         hyp = [vocab[i] for i in rng.integers(0, len(vocab), int(rng.integers(1, 9)))]
         ref = [vocab[i] for i in rng.integers(0, len(vocab), int(rng.integers(1, 9)))]
         nested = nested_wasserstein(toy_table, [hyp], [ref])
-        distance, _ = seq_wasserstein(toy_table, hyp, ref)
+        distance = score_pair(toy_table, hyp, ref).distance
         worst_degeneracy = max(worst_degeneracy, abs(nested.distance - distance))
 
     ok = worst_identity <= 1e-3 and worst_consistency <= 1e-9 and worst_degeneracy <= 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqot import exact_ot_oracle, nested_reward, nested_wasserstein, seq_wasserstein
+from seqot import exact_ot_oracle, nested_reward, nested_wasserstein, score_pair
 from seqot.nested import EmptySetError, NestedSolveError
 from seqot.sil_rl import basis_embedding_table
 
@@ -24,7 +24,7 @@ class TestExamples:
         hyp = "young kid rides one bike".split()
         ref = "youthful child cycles single bicycle along".split()
         result = nested_wasserstein(toy_table, [hyp], [ref])
-        distance, _ = seq_wasserstein(toy_table, hyp, ref)
+        distance = score_pair(toy_table, hyp, ref).distance
         assert result.distance == pytest.approx(distance, abs=1e-6)
 
     def test_identical_sets_zero_distance(self, ortho_table):
@@ -77,7 +77,7 @@ class TestInvariants:
         for seed in range(10):
             (hyp,), (ref,) = random_sets(table, seed, 1, 1)
             result = nested_wasserstein(table, [hyp], [ref])
-            distance, _ = seq_wasserstein(table, hyp, ref)
+            distance = score_pair(table, hyp, ref).distance
             assert abs(result.distance - distance) <= 1e-6
 
     def test_outer_matches_oracle(self):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqot import score_pair, seq_distribution, seq_wasserstein, wasserstein_reward
-from seqot.embeddings import PAD_TOKEN
+from seqot import score_pair
 
 
 def random_sequences(table, seed, count=20, max_len=8):
@@ -17,67 +16,53 @@ def random_sequences(table, seed, count=20, max_len=8):
     return out
 
 
-class TestSeqDistribution:
-    def test_uniform_weights_and_shape(self, ortho_table):
-        dist = seq_distribution(ortho_table, ["a", "b", "a"])
-        assert np.array_equal(dist.weights, np.full(3, 1 / 3))
-        assert dist.embed.shape == (3, 4)
-        assert dist.tokens == ("a", "b", "a")
-
-    def test_padding(self, ortho_table):
-        dist = seq_distribution(ortho_table, ["a"], pad_to=3)
-        assert dist.tokens == ("a", PAD_TOKEN, PAD_TOKEN)
-        assert np.array_equal(dist.weights, np.full(3, 1 / 3))
-        assert np.array_equal(dist.embed[1:], np.zeros((2, 4)))
-
-
 class TestExamples:
     def test_identical_sequences(self, ortho_table):
-        distance, _ = seq_wasserstein(ortho_table, ["a", "b"], ["a", "b"])
+        distance = score_pair(ortho_table, ["a", "b"], ["a", "b"]).distance
         assert distance == pytest.approx(0.0, abs=1e-3)
 
     def test_order_invariance_pairwise(self, ortho_table):
-        distance, _ = seq_wasserstein(ortho_table, ["a", "b"], ["b", "a"])
+        distance = score_pair(ortho_table, ["a", "b"], ["b", "a"]).distance
         assert distance == pytest.approx(0.0, abs=1e-3)
 
     def test_single_orthogonal_pair(self, ortho_table):
-        distance, _ = seq_wasserstein(ortho_table, ["a"], ["b"])
+        distance = score_pair(ortho_table, ["a"], ["b"]).distance
         assert distance == pytest.approx(1.0, abs=1e-3)
 
     def test_reward_identity(self, ortho_table):
-        assert wasserstein_reward(ortho_table, ["a", "b"], ["a", "b"]) == pytest.approx(1.0, abs=1e-3)
+        assert score_pair(ortho_table, ["a", "b"], ["a", "b"]).reward == pytest.approx(1.0, abs=1e-3)
 
     def test_reward_orthogonal(self, ortho_table):
-        assert wasserstein_reward(ortho_table, ["a"], ["b"]) == pytest.approx(0.0, abs=1e-3)
+        assert score_pair(ortho_table, ["a"], ["b"]).reward == pytest.approx(0.0, abs=1e-3)
 
     def test_synonym_vs_ngram_ordering(self, toy_table):
         ref = "young kid rides one bike down main road".split()
         ngram_candidate = "young kid rides one cow down main road".split()
         synonym_candidate = "youthful child cycles single bicycle along primary street".split()
-        assert wasserstein_reward(toy_table, synonym_candidate, ref) > wasserstein_reward(
+        assert score_pair(toy_table, synonym_candidate, ref).reward > score_pair(
             toy_table, ngram_candidate, ref
-        )
+        ).reward
 
 
 class TestInvariants:
     def test_identity_reward_random_sequences(self, toy_table):
         for seq in random_sequences(toy_table, seed=11, count=20, max_len=12):
-            assert wasserstein_reward(toy_table, seq, seq) == pytest.approx(1.0, abs=1e-3)
+            assert score_pair(toy_table, seq, seq).reward == pytest.approx(1.0, abs=1e-3)
 
     def test_symmetry(self, toy_table):
         seqs = random_sequences(toy_table, seed=12, count=12)
         for hyp, ref in zip(seqs[::2], seqs[1::2]):
-            ab, _ = seq_wasserstein(toy_table, hyp, ref)
-            ba, _ = seq_wasserstein(toy_table, ref, hyp)
+            ab = score_pair(toy_table, hyp, ref).distance
+            ba = score_pair(toy_table, ref, hyp).distance
             assert ab == pytest.approx(ba, abs=2e-3)
 
     def test_order_invariance_random(self, toy_table):
         rng = np.random.default_rng(13)
         for hyp, ref in zip(*[iter(random_sequences(toy_table, seed=14, count=12))] * 2):
-            base, _ = seq_wasserstein(toy_table, hyp, ref)
+            base = score_pair(toy_table, hyp, ref).distance
             shuffled = list(hyp)
             rng.shuffle(shuffled)
-            permuted, _ = seq_wasserstein(toy_table, shuffled, ref)
+            permuted = score_pair(toy_table, shuffled, ref).distance
             assert permuted == pytest.approx(base, abs=1e-3)
 
     def test_reward_plus_distance_is_total_mass(self, toy_table):

@@ -120,12 +120,12 @@ class TestWsilIndirect:
         combined = wsil_i_grad(trajs, sample, policy, table, config, baseline=0.2)
         plain = reinforce_grad(trajs, policy, baseline=0.2)
 
-        from seqot import wasserstein_reward
+        from seqot import score_pair
 
         k = len(trajs)
         expected_sil = np.zeros_like(policy.params)
         for traj in trajs:
-            pair = wasserstein_reward(table, [str(t) for t in traj.tokens], [str(t) for t in entry_tokens])
+            pair = score_pair(table, [str(t) for t in traj.tokens], [str(t) for t in entry_tokens]).reward
             expected_sil += lam * (1.0 / k) * pair * policy.grad_log_prob(traj.tokens)
         expected_sil /= k
         assert np.allclose(combined - plain, expected_sil, atol=1e-4)

@@ -6,10 +6,8 @@ from seqot.sil_rl import (
     Policy,
     PolicyKind,
     ToyEnv,
-    basis_embedding_table,
     greedy_decode,
     sample_trajectories,
-    soft_argmax,
 )
 
 
@@ -21,7 +19,7 @@ def small_env():
 class TestPolicyBasics:
     def test_zero_init_is_uniform(self):
         policy = Policy.tabular(4, 3)
-        assert np.allclose(policy.step_probs(0, policy.start_index), np.full(4, 0.25))
+        assert np.allclose(policy.step_probs_batch(0, np.array([policy.start_index]))[0], np.full(4, 0.25))
 
     def test_linear_params_shape(self):
         policy = Policy.linear(4, 3)
@@ -45,7 +43,8 @@ class TestPolicyBasics:
         logits = np.array([1.0, 0.0, -1.0])
         sharp.params = np.tile(logits, 4).ravel()
         soft.params = sharp.params.copy()
-        assert sharp.step_probs(0, sharp.start_index)[0] > soft.step_probs(0, soft.start_index)[0]
+        start = np.array([sharp.start_index])
+        assert sharp.step_probs_batch(0, start)[0, 0] > soft.step_probs_batch(0, start)[0, 0]
 
 
 class TestGradLogProb:
@@ -74,6 +73,68 @@ class TestGradLogProb:
         policy.params = rng.standard_normal(policy.params.shape)
         tokens = (1, 2, 0, 1)
         assert policy.log_prob(tokens) == pytest.approx(policy.step_logprobs(tokens).sum())
+
+
+class TestBatchedGradLogProb:
+    # Rows 0 and 2 are equal and rows 0 and 1 share their first two
+    # (position, previous token) contexts; within rows, previous tokens
+    # repeat (1 at t=1..3 in row 0, 2 at t=1 and t=3 in row 3), which is where
+    # the linear kind's previous-token columns accumulate.
+    TOKENS = np.array([[1, 1, 1, 0], [1, 1, 0, 2], [1, 1, 1, 0], [2, 0, 2, 0]])
+    WEIGHTS = np.array([0.5, -1.25, 2.0, 0.0])
+
+    @staticmethod
+    def _policy(kind):
+        make = Policy.tabular if kind is PolicyKind.TABULAR else Policy.linear
+        policy = make(3, 4, temperature=0.8)
+        policy.params = np.random.default_rng(7).standard_normal(policy.params.shape)
+        return policy
+
+    @pytest.mark.parametrize("kind", [PolicyKind.TABULAR, PolicyKind.LINEAR])
+    def test_batch_is_weighted_sum_of_single_sequences(self, kind):
+        policy = self._policy(kind)
+        expected = np.zeros_like(policy.params)
+        for row, weight in zip(self.TOKENS, self.WEIGHTS):
+            expected += weight * policy.grad_log_prob(row)
+        batched = policy.grad_log_prob(self.TOKENS, self.WEIGHTS)
+        if kind is PolicyKind.TABULAR:
+            assert np.array_equal(batched, expected)
+        else:
+            np.testing.assert_allclose(batched, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [PolicyKind.TABULAR, PolicyKind.LINEAR])
+    def test_batch_matches_central_finite_differences(self, kind):
+        policy = self._policy(kind)
+        grad = policy.grad_log_prob(self.TOKENS, self.WEIGHTS)
+        step = 1e-6
+        for i in range(len(grad)):
+            up = policy.copy()
+            up.params[i] += step
+            down = policy.copy()
+            down.params[i] -= step
+            numeric = self.WEIGHTS @ (up.log_prob(self.TOKENS) - down.log_prob(self.TOKENS)) / (2 * step)
+            assert abs(grad[i] - numeric) < 1e-6
+
+    @pytest.mark.parametrize("kind", [PolicyKind.TABULAR, PolicyKind.LINEAR])
+    def test_batched_log_prob_matches_rows(self, kind):
+        policy = self._policy(kind)
+        batched = policy.log_prob(self.TOKENS)
+        assert batched.shape == (len(self.TOKENS),)
+        rows = [policy.log_prob(tuple(row)) for row in self.TOKENS]
+        np.testing.assert_allclose(batched, rows, rtol=0.0, atol=1e-12)
+        chained = []
+        for row in self.TOKENS:
+            prev, total = policy.start_index, 0.0
+            for t, tok in enumerate(row):
+                total += np.log(policy.step_probs_batch(t, np.array([prev]))[0, tok])
+                prev = tok
+            chained.append(total)
+        np.testing.assert_allclose(batched, chained, rtol=0.0, atol=1e-12)
+
+    def test_weight_count_validated(self):
+        policy = self._policy(PolicyKind.TABULAR)
+        with pytest.raises(ValueError):
+            policy.grad_log_prob(self.TOKENS, np.ones(3))
 
 
 class TestSampling:
@@ -130,34 +191,6 @@ class TestGreedy:
         for traj in sample_trajectories(policy, small_env, 500, 11):
             counts[traj.tokens] = counts.get(traj.tokens, 0) + 1
         assert max(counts, key=counts.get) == greedy.tokens
-
-
-class TestSoftArgmax:
-    def test_saturated_softmax_returns_that_embedding(self):
-        table = basis_embedding_table(4)
-        logits = np.array([-10.0, 10.0, -10.0, -10.0])
-        result = soft_argmax(logits, table, beta=0.01)
-        assert np.allclose(result, table.vector("1"), atol=1e-12)
-
-    def test_uniform_logits_give_mean(self):
-        table = basis_embedding_table(4)
-        result = soft_argmax(np.zeros(4), table, beta=1.0)
-        assert np.allclose(result, np.full(4, 0.25))
-
-    def test_two_way_tie_gives_midpoint(self):
-        table = basis_embedding_table(4)
-        logits = np.array([50.0, 50.0, -1e6, -1e6])
-        midpoint = 0.5 * (table.vector("0") + table.vector("1"))
-        assert np.allclose(soft_argmax(logits, table, beta=0.01), midpoint, atol=1e-12)
-
-    def test_validation(self):
-        table = basis_embedding_table(3)
-        with pytest.raises(ValueError):
-            soft_argmax([np.nan, 0.0, 0.0], table, beta=0.5)
-        with pytest.raises(ValueError):
-            soft_argmax([0.0, 0.0, 0.0], table, beta=0.0)
-        with pytest.raises(ValueError):
-            soft_argmax([0.0, 0.0], table, beta=0.5)
 
 
 class TestMarkovOracle:

@@ -92,7 +92,7 @@ class TestPretrain:
         policy = pretrain_mle(Policy.tabular(3, 2), env, smoothing=1e-9)
         refs = env.references[None]
         first = [r[0] for r in refs]
-        probs = policy.step_probs(0, policy.start_index)
+        probs = policy.step_probs_batch(0, np.array([policy.start_index]))[0]
         for token in range(3):
             assert probs[token] == pytest.approx(first.count(token) / len(first), abs=1e-6)
 
@@ -101,7 +101,7 @@ class TestPretrain:
         policy = pretrain_mle(Policy.linear(3, 2), env, smoothing=1.0)
         assert policy.kind is PolicyKind.LINEAR
         # position block untouched: step probabilities are position-independent
-        assert np.allclose(policy.step_probs(0, 0), policy.step_probs(1, 0))
+        assert np.allclose(policy.step_probs_batch(0, np.array([0])), policy.step_probs_batch(1, np.array([0])))
 
     def test_requires_references(self):
         env = ToyEnv.markov(3, 2, seed=3, reference_count=0)

@@ -150,7 +150,7 @@ class TestNaiveScore:
         assert naive_semantic_score(ortho_table, ["a"], ["b"]) == pytest.approx(0.0)
 
     def test_synonym_swap_ranks_opposite_to_transport(self, toy_table):
-        from seqot import wasserstein_reward
+        from seqot import score_pair
 
         ref = "young kid rides one bike down main road".split()
         ngram_candidate = "young kid rides one cow down main road".split()
@@ -158,6 +158,6 @@ class TestNaiveScore:
         assert naive_semantic_score(toy_table, ngram_candidate, ref) > naive_semantic_score(
             toy_table, synonym_candidate, ref
         )
-        assert wasserstein_reward(toy_table, ngram_candidate, ref) < wasserstein_reward(
+        assert score_pair(toy_table, ngram_candidate, ref).reward < score_pair(
             toy_table, synonym_candidate, ref
-        )
+        ).reward
