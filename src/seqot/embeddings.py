@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .ot_core import IpotConfig
 
 logger = logging.getLogger(__name__)
 
@@ -90,16 +93,23 @@ class DegenerateVectorError(EmbeddingError):
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Immutable token -> d-dimensional vector map.
+    """Immutable token -> d-dimensional vector map, plus its pair-score memo.
 
     Invariants enforced at load time: every vector has length ``dim``, no
-    vector is all-zeros, and :data:`PAD_TOKEN` is absent. Instances are
-    safe to share across threads; all operations on them are pure.
+    vector is all-zeros, and :data:`PAD_TOKEN` is absent. The vectors never
+    change, so neither does a pair's transport score under one solver
+    config: the table memoizes the ``(distance, reward)`` of every pair
+    scored through :meth:`pair_score` for as long as the instance lives
+    (one CLI command, or one training environment). Threads may share an
+    instance: two that miss on the same pair both solve it and store the
+    same floats.
     """
 
     dim: int
     entries: dict[str, np.ndarray]
     oov_policy: OovPolicy = OovPolicy.STRICT
+    # IpotConfig -> {pair key: complex(distance, reward)}; see pair_score
+    _pair_scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -125,6 +135,37 @@ class EmbeddingTable:
         if self.oov_policy is OovPolicy.HASH_FALLBACK:
             return _hash_fallback_vector(token, self.dim)
         raise UnknownTokenError(token)
+
+    def pair_score(
+        self,
+        hyp: Sequence[str],
+        ref: Sequence[str],
+        config: IpotConfig,
+        solve: Callable,
+    ) -> tuple[float, float]:
+        """Memoized ``(distance, reward)`` of a (hypothesis, reference) pair.
+
+        Each solver config has its own memo. On a miss,
+        ``solve(self, hyp, ref, config)`` runs and only its two floats are
+        kept, never the plan. Callers pass their module's ``score_pair``
+        binding: ``seq_match`` builds on this module, so it is not imported
+        here, and a wrapper patched over that binding sees every solve. The
+        key is the flat tuple ``(len(hyp), *hyp, *ref)``: the length fixes
+        where ``hyp`` ends, so no two distinct pairs share a key.
+        """
+        memo = self._pair_scores.get(config)
+        if memo is None:
+            memo = self._pair_scores[config] = {}
+        # Memory per entry matters (a training run stores thousands): the
+        # tokens are interned so keys share one string per token rather
+        # than holding each caller's fresh copies, and one complex holds
+        # both floats exactly, in a third of the space of a 2-tuple.
+        key = (len(hyp), *map(sys.intern, hyp), *map(sys.intern, ref))
+        hit = memo.get(key)
+        if hit is None:
+            scored = solve(self, hyp, ref, config)
+            hit = memo[key] = complex(scored.distance, scored.reward)
+        return hit.real, hit.imag
 
 
 def _hash_fallback_vector(token: str, dim: int) -> np.ndarray:
@@ -227,11 +268,10 @@ class CostMatrix:
     ``values[i, j]`` is the cost of matching hypothesis token ``i`` against
     reference token ``j``; entries lie in [0, 2], identical non-pad tokens
     cost exactly 0.0, and cells touching a synthesized pad cost exactly
-    :data:`PAD_REAL_COST`. ``pad_mask`` marks those synthesized cells.
+    :data:`PAD_REAL_COST`.
     """
 
     values: np.ndarray
-    pad_mask: np.ndarray
     hyp_tokens: tuple[str, ...]
     ref_tokens: tuple[str, ...]
 
@@ -269,13 +309,8 @@ def build_cost_matrix(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[s
     values[:n, :m] = np.clip(1.0 - eh @ er.T, 0.0, 2.0)
     same = np.array([[h == r for r in ref] for h in hyp])
     values[:n, :m][same] = 0.0
-
-    pad_mask = np.zeros((size, size), dtype=bool)
-    pad_mask[n:, :] = True
-    pad_mask[:, m:] = True
     return CostMatrix(
         values=values,
-        pad_mask=pad_mask,
         hyp_tokens=pad_tokens(hyp, size),
         ref_tokens=pad_tokens(ref, size),
     )

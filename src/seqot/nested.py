@@ -1,10 +1,13 @@
 """Set-level transport where the ground cost is itself a sequence distance.
 
 Two sets of sequences are matched by an outer transport problem whose cost
-matrix holds the pairwise sequence-level distances (one inner solve per
-pair, memoized on token content within a call). The outer plan also defines
-a per-hypothesis reward: each hypothesis inherits the plan-weighted sum of
-its pairwise rewards, so the raw values scale with the 1/K row mass.
+matrix holds the pairwise sequence-level distances. The inner solves are
+memoized on token content per table and solver config (see
+``EmbeddingTable.pair_score``): a pair solved by an earlier call, or by an
+environment's reward on the same table, is not solved again. The outer plan
+also defines a per-hypothesis reward: each hypothesis inherits the
+plan-weighted sum of its pairwise rewards, so the raw values scale with the
+1/K row mass.
 """
 
 from __future__ import annotations
@@ -80,17 +83,12 @@ def nested_wasserstein(
     k, k_prime = len(set_a), len(set_b)
     costs = np.empty((k, k_prime))
     rewards = np.empty((k, k_prime))
-    memo: dict[tuple, tuple[float, float]] = {}
     for i, seq_a in enumerate(set_a):
         for j, seq_b in enumerate(set_b):
-            key = (tuple(seq_a), tuple(seq_b))
-            if key not in memo:
-                try:
-                    scored = score_pair(table, seq_a, seq_b, config)
-                except Exception as exc:
-                    raise NestedSolveError("inner", i, j) from exc
-                memo[key] = (scored.distance, scored.reward)
-            costs[i, j], rewards[i, j] = memo[key]
+            try:
+                costs[i, j], rewards[i, j] = table.pair_score(seq_a, seq_b, config, score_pair)
+            except Exception as exc:
+                raise NestedSolveError("inner", i, j) from exc
 
     try:
         outer = ipot_solve(costs, config)

@@ -144,13 +144,15 @@ class ToyEnv:
 
     def reference_reward(self, tokens: Sequence[int], condition: int | None = None) -> float:
         """Mean transport reward of ``tokens`` against the condition's
-        references: the overlap rewards and the buffer's transport criterion."""
+        references: the overlap rewards and the buffer's transport criterion.
+        Pair rewards come from the table's pair-score memo, so the two
+        share their solves."""
         refs = self.references_for(condition)
         if not refs:
             raise ValueError(f"no references for condition {condition!r}")
         words = [str(t) for t in tokens]
         rewards = [
-            score_pair(self.table, words, [str(t) for t in ref], self.ot_config).reward
+            self.table.pair_score(words, [str(t) for t in ref], self.ot_config, score_pair)[1]
             for ref in refs
         ]
         return float(np.mean(rewards))

@@ -89,6 +89,12 @@ class Policy:
 
     def _contexts(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions (H,) and previous tokens (K, H) of every step of a batch."""
+        if batch.shape[1] > self.horizon:
+            # past the horizon a linear position index would read the
+            # previous-token columns, and a tabular one would run off the table
+            raise ValueError(
+                f"sequence length {batch.shape[1]} exceeds the policy horizon {self.horizon}"
+            )
         start = np.full((len(batch), 1), self.start_index)
         return np.arange(batch.shape[1]), np.hstack([start, batch])[:, :-1]
 

@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -27,6 +28,26 @@ def toy_table():
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """``count_solves(module_name)`` wraps the ``score_pair`` binding of that
+    module and returns the list of (hyp, ref) pairs it goes on to solve."""
+
+    def install(module_name: str) -> list:
+        module = importlib.import_module(module_name)
+        original = module.score_pair
+        solved = []
+
+        def counting(table, hyp, ref, *args, **kwargs):
+            solved.append((tuple(hyp), tuple(ref)))
+            return original(table, hyp, ref, *args, **kwargs)
+
+        monkeypatch.setattr(module, "score_pair", counting)
+        return solved
+
+    return install
 
 
 @pytest.fixture

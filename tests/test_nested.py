@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from seqot import exact_ot_oracle, nested_reward, nested_wasserstein, score_pair
+from seqot import (
+    IpotConfig,
+    OovPolicy,
+    exact_ot_oracle,
+    load_embeddings,
+    nested_reward,
+    nested_wasserstein,
+    score_pair,
+)
 from seqot.nested import EmptySetError, NestedSolveError
 from seqot.sil_rl import basis_embedding_table
 
@@ -116,3 +124,55 @@ class TestInvariants:
         assert result.distance == pytest.approx(recomputed, abs=1e-12)
         per_hyp = (result.outer_plan.values * result.seq_reward_matrix).sum(axis=1)
         assert np.allclose(result.per_hyp_reward, per_hyp, atol=1e-12)
+
+
+@pytest.fixture
+def count_inner_solves(count_solves):
+    return count_solves("seqot.nested")
+
+
+class TestPairScoreMemo:
+    """The table memoizes inner pair scores across calls."""
+
+    @staticmethod
+    def fresh_table(fixtures_dir, oov=OovPolicy.STRICT):
+        return load_embeddings(fixtures_dir / "toy_embeddings.txt", oov)
+
+    def test_second_call_solves_only_new_pairs(self, fixtures_dir, count_inner_solves):
+        table = self.fresh_table(fixtures_dir)
+        set_a, set_b = random_sets(table, 3, 4, 3)
+        nested_wasserstein(table, set_a, set_b)
+        assert len(count_inner_solves) == len(set(count_inner_solves)) == 12
+        new_hyp = ["young", "kid"]
+        overlapping = set_a[1:] + [new_hyp]
+        del count_inner_solves[:]
+
+        warm = nested_wasserstein(table, overlapping, set_b)
+        assert count_inner_solves == [(tuple(new_hyp), tuple(ref)) for ref in set_b]
+        cold = nested_wasserstein(self.fresh_table(fixtures_dir), overlapping, set_b)
+        assert np.array_equal(warm.seq_cost_matrix, cold.seq_cost_matrix)
+        assert np.array_equal(warm.seq_reward_matrix, cold.seq_reward_matrix)
+        assert np.array_equal(warm.outer_plan.values, cold.outer_plan.values)
+        assert warm.distance == cold.distance
+
+    def test_configs_share_no_entries(self, fixtures_dir, count_inner_solves):
+        table = self.fresh_table(fixtures_dir)
+        set_a, set_b = random_sets(table, 4, 2, 2)
+        other = IpotConfig(gamma=0.1)
+        first = nested_wasserstein(table, set_a, set_b)
+        second = nested_wasserstein(table, set_a, set_b, other)
+        assert len(count_inner_solves) == 8
+        again = nested_wasserstein(table, set_a, set_b, other)
+        assert len(count_inner_solves) == 8
+        assert not np.array_equal(first.seq_cost_matrix, second.seq_cost_matrix)
+        assert np.array_equal(second.seq_cost_matrix, again.seq_cost_matrix)
+
+    def test_token_boundaries_are_part_of_the_key(self, fixtures_dir, count_inner_solves):
+        table = self.fresh_table(fixtures_dir, OovPolicy.HASH_FALLBACK)
+        pairs = [(["a b"], ["c"]), (["a", "b"], ["c"]), (["a"], ["b", "c"]), (["a"], ["b c"])]
+        results = [nested_wasserstein(table, [hyp], [ref]) for hyp, ref in pairs]
+        assert len(count_inner_solves) == 4
+        distances = [r.seq_cost_matrix[0, 0] for r in results]
+        expected = [score_pair(table, hyp, ref).distance for hyp, ref in pairs]
+        assert distances == expected
+        assert len(set(distances)) == 4

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqot.embeddings import build_cost_matrix
 from seqot.ot_core import (
     IpotConfig,
     NonFiniteCostError,
@@ -13,6 +14,7 @@ from seqot.ot_core import (
     marginal_violation,
     trace_lines,
 )
+from seqot.sil_rl import basis_embedding_table
 
 
 class TestIpotExamples:
@@ -161,3 +163,100 @@ class TestProperties:
         lines = trace_lines(trace)
         assert all(len(line.split(",")) == 3 for line in lines)
         assert lines[0].startswith("1,")
+
+
+def every_iteration_ipot(cost, config=IpotConfig(), trace=None):
+    """The solver loop as it was before the stationarity-first stop test:
+    the marginal violation is evaluated on every outer iteration."""
+    c = np.asarray(cost, dtype=float)
+    n, m = c.shape
+    sigma = np.full(m, 1.0 / m)
+    plan = np.ones((n, m))
+    kernel = np.exp(-c / config.gamma)
+    violation = np.inf
+    used = 0
+    for it in range(1, config.outer_iters + 1):
+        q = kernel * plan
+        for _ in range(config.inner_sinkhorn_iters):
+            delta = 1.0 / np.maximum(n * (q @ sigma), config.epsilon_floor)
+            sigma = 1.0 / np.maximum(m * (q.T @ delta), config.epsilon_floor)
+        new_plan = delta[:, None] * q * sigma[None, :]
+        violation = marginal_violation(new_plan)
+        step = float(np.abs(new_plan - plan).max())
+        used = it
+        if trace is not None:
+            trace.append((it, violation, float((new_plan * c).sum())))
+        plan = new_plan
+        if violation <= config.feasibility_tol and step <= config.feasibility_tol:
+            break
+    return TransportPlan(
+        values=plan,
+        row_marginal=1.0 / n,
+        col_marginal=1.0 / m,
+        cost=float((plan * c).sum()),
+        converged=violation <= config.feasibility_tol,
+        iterations_used=used,
+    )
+
+
+def basis_table_costs(count, length=8, vocab=8, seed=0):
+    """0/1 costs of random token sequences under the toy envs' basis table."""
+    table = basis_embedding_table(vocab)
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, vocab, (count, 2, length)).astype(str).tolist()
+    return [build_cost_matrix(table, hyp, ref).values for hyp, ref in pairs]
+
+
+def continuous_costs():
+    rng = np.random.default_rng(11)
+    out = []
+    for size in range(5, 21):
+        a, b = rng.standard_normal((2, size, 6))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        out.append(np.clip(1.0 - a @ b.T, 0.0, 2.0))
+    return out
+
+
+class TestStopTestMatchesEveryIterationCheck:
+    """Checking feasibility only once the iterates are stationary leaves the
+    solver's output bit for bit as it was with the check on every step."""
+
+    CONVERGING = (
+        [(c, IpotConfig()) for c in basis_table_costs(25)]
+        + [(c, IpotConfig()) for c in continuous_costs()]
+        + [(np.random.default_rng(0).uniform(0, 2, (3, 5)), IpotConfig())]
+    )
+    CAPPED = [
+        # stationary but stuck infeasible at the cap
+        (np.random.default_rng(7).uniform(0, 2, (6, 6)), IpotConfig(gamma=0.01)),
+        # the kernel underflows and the plan loses mass
+        (200 * np.random.default_rng(5).uniform(0, 2, (5, 5)), IpotConfig()),
+        # still moving at the cap: feasibility is checked only after the loop
+        (np.random.default_rng(3).uniform(0, 2, (4, 4)), IpotConfig(outer_iters=5)),
+    ]
+    CASES = CONVERGING + CAPPED
+
+    @staticmethod
+    def assert_same(new, old):
+        assert np.array_equal(new.values, old.values)
+        assert (new.cost, new.converged, new.iterations_used) == (
+            old.cost, old.converged, old.iterations_used)
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_same_plan_cost_and_stop(self, index):
+        cost, config = self.CASES[index]
+        self.assert_same(ipot_solve(cost, config), every_iteration_ipot(cost, config))
+
+    @pytest.mark.parametrize("index", [0, 25, 40, 41, 42, 43, 44])
+    def test_same_trace(self, index):
+        cost, config = self.CASES[index]
+        new_trace, old_trace = [], []
+        self.assert_same(ipot_solve(cost, config, new_trace), every_iteration_ipot(cost, config, old_trace))
+        assert new_trace == old_trace
+
+    def test_cases_cover_both_outcomes(self):
+        assert all(ipot_solve(cost, config).converged for cost, config in self.CONVERGING)
+        for cost, config in self.CAPPED:
+            plan = ipot_solve(cost, config)
+            assert (plan.converged, plan.iterations_used) == (False, config.outer_iters)

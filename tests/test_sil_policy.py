@@ -46,6 +46,16 @@ class TestPolicyBasics:
         start = np.array([sharp.start_index])
         assert sharp.step_probs_batch(0, start)[0, 0] > soft.step_probs_batch(0, start)[0, 0]
 
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("method", ["log_prob", "step_logprobs", "grad_log_prob"])
+    def test_sequences_past_the_horizon_rejected(self, kind, method):
+        policy = Policy.tabular(3, 2) if kind is PolicyKind.TABULAR else Policy.linear(3, 2)
+        score = getattr(policy, method)
+        for tokens in ((0, 1, 2), [(0, 1, 2), (2, 1, 0)]):
+            with pytest.raises(ValueError, match="horizon 2"):
+                score(tokens)
+        assert np.all(np.isfinite(score((0, 1))))
+
 
 class TestGradLogProb:
     @pytest.mark.parametrize("kind", [PolicyKind.TABULAR, PolicyKind.LINEAR])

@@ -7,6 +7,7 @@ import pytest
 from seqot.sil_rl import (
     ZERO_SCHEDULE,
     BaselineMode,
+    BufferCriterion,
     BufferEntry,
     Policy,
     PolicyKind,
@@ -25,6 +26,7 @@ from seqot.sil_rl import (
 
 # the package re-exports the function ``train`` under the submodule's name
 train_module = importlib.import_module("seqot.sil_rl.train")
+file_log_record = train_module.file_log_record
 
 
 @pytest.fixture
@@ -223,3 +225,34 @@ class TestEliteReplay:
         train(env, Policy.tabular(4, 3), SilConfig(schedule=ZERO_SCHEDULE, **base), 12, on_step=hook_b)
         for step, (a, b) in enumerate(zip(seen_a, seen_b)):
             assert np.array_equal(a, b), f"diverged at step {step}"
+
+
+class TestPairScoreMemo:
+    """Training solves each (hypothesis, reference) pair at most once per
+    environment, through the environment table's pair-score memo."""
+
+    def test_warm_memo_gives_the_fresh_run(self, count_solves):
+        solves = count_solves("seqot.nested")
+        config = SilConfig(seed=2, k=3, k_prime=3, lambda_sil=1.0,
+                           schedule=Schedule(0.5, 1.0, 10), pretrain=False)
+        shared = ToyEnv.markov(4, 4, seed=7)
+        cold = train(shared, Policy.tabular(4, 4), config, 40)
+        solved_cold = len(solves)
+        assert solved_cold > 0 and cold.sil_steps > 0
+        warm = train(shared, Policy.tabular(4, 4), config, 40)
+        assert len(solves) == solved_cold  # every pair came from the memo
+        fresh = train(ToyEnv.markov(4, 4, seed=7), Policy.tabular(4, 4), config, 40)
+        assert len(solves) == 2 * solved_cold
+        for run in (warm, fresh):
+            assert [file_log_record(r) for r in run.records] == [file_log_record(r) for r in cold.records]
+            assert np.array_equal(run.policy.params, cold.policy.params)
+
+    def test_transport_buffer_criterion_reuses_the_reward_solves(self, count_solves):
+        solves = count_solves("seqot.sil_rl.envs")
+        counts = {}
+        for criterion in (BufferCriterion.REWARD, BufferCriterion.NESTED_REWARD):
+            del solves[:]
+            config = SilConfig(lambda_sil=0.0, schedule=ZERO_SCHEDULE, buffer_criterion=criterion)
+            train(ToyEnv.overlap(4, 4, reference_count=4), Policy.tabular(4, 4), config, 200)
+            counts[criterion] = len(solves)
+        assert 0 < counts[BufferCriterion.NESTED_REWARD] <= counts[BufferCriterion.REWARD]
