@@ -22,7 +22,7 @@ from . import __version__
 from .configfile import ConfigError, build_training_setup, parse_config_text
 from .embeddings import EmbeddingError, OovPolicy, load_embeddings
 from .manifest import build_manifest
-from .nested import nested_wasserstein
+from .nested import NestedSolveError, nested_wasserstein, score_matrices
 from .ot_core import IpotConfig
 from .seq_match import score_pair
 from .sil_rl.train import file_log_record, train
@@ -62,6 +62,10 @@ def _load_table(args) -> "EmbeddingTable":
 
 
 def _ot_config(args) -> IpotConfig:
+    if not args.gamma > 0:
+        raise UsageError(f"--gamma must be positive, got {args.gamma}")
+    if args.outer_iters < 1:
+        raise UsageError(f"--outer-iters must be >= 1, got {args.outer_iters}")
     return IpotConfig(gamma=args.gamma, outer_iters=args.outer_iters)
 
 
@@ -94,11 +98,11 @@ def cmd_score(args) -> int:
     refs = read_corpus(args.ref_file, args.lowercase)
 
     if args.corpus:
+        distances, rewards = score_matrices(table, hyps, refs, config)
         pairs = []
-        for index, hyp in enumerate(hyps):
-            scored = [score_pair(table, hyp, ref, config) for ref in refs]
-            best = max(scored, key=lambda s: s.reward)
-            pairs.append({"index": index, "w_distance": best.distance, "w_reward": best.reward})
+        for index, best in enumerate(np.argmax(rewards, axis=1)):
+            w_distance, w_reward = float(distances[index, best]), float(rewards[index, best])
+            pairs.append({"index": index, "w_distance": w_distance, "w_reward": w_reward})
     else:
         if len(hyps) != len(refs):
             raise UsageError(
@@ -137,6 +141,9 @@ def _subsample(sentences: list, cap: int, seed: int, stream: int) -> tuple[list,
 
 
 def cmd_nested(args) -> int:
+    for flag, value in (("--k", args.k), ("--k-prime", args.k_prime)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     table = _load_table(args)
     config = _ot_config(args)
     corpus_a = read_corpus(args.corpus_a, args.lowercase)
@@ -197,6 +204,7 @@ def cmd_compare(args) -> int:
     if len(candidates) < 1:
         raise UsageError("need at least one candidate sentence")
 
+    _, rewards = score_matrices(table, candidates, [ref], config)
     rows = []
     for index, candidate in enumerate(candidates):
         rows.append(
@@ -205,7 +213,7 @@ def cmd_compare(args) -> int:
                 "text": " ".join(candidate),
                 "bleu": corpus_bleu([candidate], [ref], args.order),
                 "naive": naive_semantic_score(table, candidate, ref),
-                "w_reward": score_pair(table, candidate, ref, config).reward,
+                "w_reward": float(rewards[index, 0]),
             }
         )
 
@@ -331,6 +339,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - never die without a message
+        # A pair that failed on bad input (an unknown token, say) is that
+        # input error, tagged with the pair.
+        if isinstance(exc, NestedSolveError) and isinstance(exc.__cause__, _INPUT_ERRORS):
+            print(f"error: {exc}: {exc.__cause__}", file=sys.stderr)
+            return 2
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .ot_core import IpotConfig
 from .sil_rl.buffer import BufferCriterion
 from .sil_rl.config import BaselineMode, Schedule, SilConfig, SilVariant
-from .sil_rl.envs import RewardKind, ToyEnv
+from .sil_rl.envs import ToyEnv
 from .sil_rl.policy import Policy, PolicyKind
 
 
@@ -40,11 +40,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-_ENV_KINDS = {
-    "markov": RewardKind.ORACLE_LOGPROB,
-    "overlap": RewardKind.TARGET_OVERLAP,
-    "conditional": RewardKind.CONDITIONAL,
-}
+_ENV_KINDS = ("markov", "overlap", "conditional")
 
 _KEYS = {
     "steps": int,
@@ -98,14 +94,11 @@ def _convert(key: str, raw: str):
         raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {raw!r}") from None
 
 
-def _enum(key: str, raw: str, enum_cls, aliases: dict | None = None):
-    name = raw.lower()
-    if aliases and name in aliases:
-        return aliases[name]
+def _enum(key: str, raw: str, enum_cls):
     try:
-        return enum_cls(name)
+        return enum_cls(raw.lower())
     except ValueError:
-        options = sorted({e.value for e in enum_cls} | set(aliases or ()))
+        options = sorted(e.value for e in enum_cls)
         raise ConfigError(f"key {key!r}: expected one of {options}, got {raw!r}") from None
 
 
@@ -136,18 +129,22 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
     if steps < 1:
         raise ConfigError("key 'steps': must be >= 1")
 
-    ot = IpotConfig(
-        gamma=get("gamma", IpotConfig.gamma),
-        outer_iters=get("outer_iters", IpotConfig.outer_iters),
-        inner_sinkhorn_iters=get("inner_sinkhorn_iters", IpotConfig.inner_sinkhorn_iters),
-        feasibility_tol=get("feasibility_tol", IpotConfig.feasibility_tol),
-    )
-
     env_name = get("env", "markov").lower()
     if env_name not in _ENV_KINDS:
         raise ConfigError(f"key 'env': expected one of {sorted(_ENV_KINDS)}, got {env_name!r}")
+    conditions = get("conditions", 4) if env_name == "conditional" else 0
+    if env_name == "conditional" and conditions < 1:
+        raise ConfigError(f"key 'conditions': env = conditional needs at least 1, got {conditions}")
     env_seed = get("env_seed", seed)
+    policy_kind = _enum("policy", get("policy", "tabular"), PolicyKind)
+    # The constructors own their range checks; their ValueErrors name the key.
     try:
+        ot = IpotConfig(
+            gamma=get("gamma", IpotConfig.gamma),
+            outer_iters=get("outer_iters", IpotConfig.outer_iters),
+            inner_sinkhorn_iters=get("inner_sinkhorn_iters", IpotConfig.inner_sinkhorn_iters),
+            feasibility_tol=get("feasibility_tol", IpotConfig.feasibility_tol),
+        )
         if env_name == "markov":
             env = ToyEnv.markov(
                 values["vocab_size"],
@@ -163,20 +160,11 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
                 values["horizon"],
                 seed=env_seed,
                 reference_count=get("reference_count", 8),
-                conditions=get("conditions", 4) if env_name == "conditional" else 0,
+                conditions=conditions,
                 ot_config=ot,
             )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    policy_kind = _enum("policy", get("policy", "tabular"), PolicyKind)
-    temperature = get("temperature", 1.0)
-    if policy_kind is PolicyKind.TABULAR:
-        policy = Policy.tabular(env.vocab_size, env.horizon, temperature)
-    else:
-        policy = Policy.linear(env.vocab_size, env.horizon, temperature)
-
-    try:
+        make_policy = Policy.tabular if policy_kind is PolicyKind.TABULAR else Policy.linear
+        policy = make_policy(env.vocab_size, env.horizon, get("temperature", 1.0))
         sil = SilConfig(
             lambda_sil=get("lambda_sil", 0.1),
             k=get("k", 5),
@@ -199,6 +187,8 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
             bleu_order=get("bleu_order", 2),
             ot=ot,
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -2,21 +2,20 @@
 
 Embedding files use the common plain-text layout: a header line ``V d``
 followed by one line per token, ``token x_1 ... x_d``. Parsing is
-locale-independent (ASCII whitespace, ``.`` decimal point).
+locale-independent (ASCII whitespace, ``.`` decimal point). Each table also
+carries the pair-score memo that :func:`seqot.nested.score_matrices` fills;
+this module neither reads nor writes it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .ot_core import IpotConfig
 
 logger = logging.getLogger(__name__)
 
@@ -98,18 +97,18 @@ class EmbeddingTable:
     Invariants enforced at load time: every vector has length ``dim``, no
     vector is all-zeros, and :data:`PAD_TOKEN` is absent. The vectors never
     change, so neither does a pair's transport score under one solver
-    config: the table memoizes the ``(distance, reward)`` of every pair
-    scored through :meth:`pair_score` for as long as the instance lives
-    (one CLI command, or one training environment). Threads may share an
-    instance: two that miss on the same pair both solve it and store the
+    config: ``pair_scores`` maps each ``IpotConfig`` to a dict of
+    ``complex(distance, reward)`` per pair, filled by
+    :func:`seqot.nested.score_matrices` and kept for as long as the instance
+    lives (one CLI command, or one training environment). Threads may share
+    an instance: two that miss on the same pair both solve it and store the
     same floats.
     """
 
     dim: int
     entries: dict[str, np.ndarray]
     oov_policy: OovPolicy = OovPolicy.STRICT
-    # IpotConfig -> {pair key: complex(distance, reward)}; see pair_score
-    _pair_scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    pair_scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -118,12 +117,8 @@ class EmbeddingTable:
         return len(self.entries)
 
     def tokens(self) -> list[str]:
-        """Tokens in file/insertion order (the order :meth:`matrix` rows use)."""
+        """Tokens in file/insertion order."""
         return list(self.entries)
-
-    def matrix(self) -> np.ndarray:
-        """All stored vectors stacked as a ``len(self) x dim`` array."""
-        return np.stack(list(self.entries.values()))
 
     def vector(self, token: str) -> np.ndarray:
         """Vector for ``token``, applying the table's OOV policy."""
@@ -135,37 +130,6 @@ class EmbeddingTable:
         if self.oov_policy is OovPolicy.HASH_FALLBACK:
             return _hash_fallback_vector(token, self.dim)
         raise UnknownTokenError(token)
-
-    def pair_score(
-        self,
-        hyp: Sequence[str],
-        ref: Sequence[str],
-        config: IpotConfig,
-        solve: Callable,
-    ) -> tuple[float, float]:
-        """Memoized ``(distance, reward)`` of a (hypothesis, reference) pair.
-
-        Each solver config has its own memo. On a miss,
-        ``solve(self, hyp, ref, config)`` runs and only its two floats are
-        kept, never the plan. Callers pass their module's ``score_pair``
-        binding: ``seq_match`` builds on this module, so it is not imported
-        here, and a wrapper patched over that binding sees every solve. The
-        key is the flat tuple ``(len(hyp), *hyp, *ref)``: the length fixes
-        where ``hyp`` ends, so no two distinct pairs share a key.
-        """
-        memo = self._pair_scores.get(config)
-        if memo is None:
-            memo = self._pair_scores[config] = {}
-        # Memory per entry matters (a training run stores thousands): the
-        # tokens are interned so keys share one string per token rather
-        # than holding each caller's fresh copies, and one complex holds
-        # both floats exactly, in a third of the space of a 2-tuple.
-        key = (len(hyp), *map(sys.intern, hyp), *map(sys.intern, ref))
-        hit = memo.get(key)
-        if hit is None:
-            scored = solve(self, hyp, ref, config)
-            hit = memo[key] = complex(scored.distance, scored.reward)
-        return hit.real, hit.imag
 
 
 def _hash_fallback_vector(token: str, dim: int) -> np.ndarray:
@@ -272,21 +236,6 @@ class CostMatrix:
     """
 
     values: np.ndarray
-    hyp_tokens: tuple[str, ...]
-    ref_tokens: tuple[str, ...]
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-
-def pad_tokens(tokens: Sequence[str], length: int) -> tuple[str, ...]:
-    """Right-pad ``tokens`` with :data:`PAD_TOKEN` up to ``length``."""
-    return tuple(tokens) + (PAD_TOKEN,) * (length - len(tokens))
 
 
 def build_cost_matrix(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) -> CostMatrix:
@@ -309,8 +258,4 @@ def build_cost_matrix(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[s
     values[:n, :m] = np.clip(1.0 - eh @ er.T, 0.0, 2.0)
     same = np.array([[h == r for r in ref] for h in hyp])
     values[:n, :m][same] = 0.0
-    return CostMatrix(
-        values=values,
-        hyp_tokens=pad_tokens(hyp, size),
-        ref_tokens=pad_tokens(ref, size),
-    )
+    return CostMatrix(values=values)

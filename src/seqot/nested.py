@@ -1,17 +1,20 @@
-"""Set-level transport where the ground cost is itself a sequence distance.
+"""Sequences scored against a reference set, and set-level transport where
+the ground cost is itself a sequence distance.
 
-Two sets of sequences are matched by an outer transport problem whose cost
-matrix holds the pairwise sequence-level distances. The inner solves are
-memoized on token content per table and solver config (see
-``EmbeddingTable.pair_score``): a pair solved by an earlier call, or by an
-environment's reward on the same table, is not solved again. The outer plan
-also defines a per-hypothesis reward: each hypothesis inherits the
-plan-weighted sum of its pairwise rewards, so the raw values scale with the
-1/K row mass.
+:func:`score_matrices` is the one place a set of sequences is scored
+against a reference set: it fills the K x K' matrices of pairwise sequence
+distances and rewards, solving each (hypothesis, reference) pair at most
+once per table and solver config through the table's ``pair_scores`` memo.
+A pair solved by an earlier call, or by an environment's reward on the same
+table, is not solved again. Two sets of sequences are matched by an outer
+transport problem over the distance matrix. The outer plan also defines a
+per-hypothesis reward: each hypothesis inherits the plan-weighted sum of its
+pairwise rewards, so the raw values scale with the 1/K row mass.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,6 +64,45 @@ class NestedResult:
         return self.seq_cost_matrix.shape[1]
 
 
+def score_matrices(
+    table: EmbeddingTable,
+    hyps: Sequence[Sequence[str]],
+    refs: Sequence[Sequence[str]],
+    config: IpotConfig = DEFAULT_IPOT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(distances, rewards)``, each ``len(hyps) x len(refs)``: the sequence
+    distance and reward of every (hypothesis, reference) pair.
+
+    Each pair is solved at most once per table and solver config: on a miss
+    ``score_pair`` runs and only its two floats are kept in
+    ``table.pair_scores``, never the plan. The key is the flat tuple
+    ``(len(hyp), *hyp, *ref)``: the length fixes where ``hyp`` ends, so no
+    two distinct pairs share a key. A failed pair raises
+    :class:`NestedSolveError` ``("inner", i, j)`` chained from the cause.
+    """
+    memo = table.pair_scores.setdefault(config, {})
+    # Memory per entry matters (a training run stores thousands): the tokens
+    # are interned so keys share one string per token rather than holding
+    # each caller's fresh copies, and one complex holds both floats exactly,
+    # in a third of the space of a 2-tuple.
+    ref_keys = [tuple(map(sys.intern, ref)) for ref in refs]
+    distances = np.empty((len(hyps), len(refs)))
+    rewards = np.empty((len(hyps), len(refs)))
+    for i, hyp in enumerate(hyps):
+        hyp_key = (len(hyp), *map(sys.intern, hyp))
+        for j, ref in enumerate(refs):
+            key = hyp_key + ref_keys[j]
+            hit = memo.get(key)
+            if hit is None:
+                try:
+                    scored = score_pair(table, hyp, ref, config)
+                except Exception as exc:
+                    raise NestedSolveError("inner", i, j) from exc
+                hit = memo[key] = complex(scored.distance, scored.reward)
+            distances[i, j], rewards[i, j] = hit.real, hit.imag
+    return distances, rewards
+
+
 def nested_wasserstein(
     table: EmbeddingTable,
     set_a: Sequence[Sequence[str]],
@@ -80,15 +122,7 @@ def nested_wasserstein(
         if any(len(seq) == 0 for seq in group):
             raise ValueError(f"set {name} contains an empty sequence")
 
-    k, k_prime = len(set_a), len(set_b)
-    costs = np.empty((k, k_prime))
-    rewards = np.empty((k, k_prime))
-    for i, seq_a in enumerate(set_a):
-        for j, seq_b in enumerate(set_b):
-            try:
-                costs[i, j], rewards[i, j] = table.pair_score(seq_a, seq_b, config, score_pair)
-            except Exception as exc:
-                raise NestedSolveError("inner", i, j) from exc
+    costs, rewards = score_matrices(table, set_a, set_b, config)
 
     try:
         outer = ipot_solve(costs, config)

@@ -78,10 +78,6 @@ class TransportPlan:
     converged: bool
     iterations_used: int
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.values.sum())
-
 
 def marginal_violation(plan: TransportPlan | np.ndarray) -> float:
     """L1 sum of row- and column-marginal deviations of ``plan``; a bare

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .embeddings import CostMatrix, EmbeddingTable, build_cost_matrix
+from .embeddings import EmbeddingTable, build_cost_matrix
 from .ot_core import DEFAULT_IPOT, IpotConfig, TransportPlan, ipot_solve
 
 
@@ -23,7 +23,6 @@ class PairScore:
     distance: float
     reward: float
     plan: TransportPlan
-    cost_matrix: CostMatrix
 
 
 def score_pair(
@@ -36,5 +35,5 @@ def score_pair(
     cm = build_cost_matrix(table, hyp, ref)
     plan = ipot_solve(cm.values, config)
     reward = float((plan.values * (1.0 - cm.values)).sum())
-    return PairScore(distance=plan.cost, reward=reward, plan=plan, cost_matrix=cm)
+    return PairScore(distance=plan.cost, reward=reward, plan=plan)
 

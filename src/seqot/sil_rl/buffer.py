@@ -78,9 +78,6 @@ class ReplayBuffer:
         live = [item[3] for item in heap if item[2] in self._live]
         return sorted(live, key=lambda e: (-e.reward, e.insert_step))
 
-    def all_entries(self) -> list[BufferEntry]:
-        return [e for cond in self.conditions() for e in self.entries(cond)]
-
     def min_reward(self, condition: int | None = None) -> float:
         pool = self.entries(condition)
         if not pool:

@@ -75,6 +75,8 @@ class SilConfig:
             raise ValueError("lambda_sil must be >= 0")
         if self.k < 1 or self.k_prime < 1:
             raise ValueError("k and k_prime must be >= 1")
+        if self.buffer_capacity is not None and self.buffer_capacity < 1:
+            raise ValueError("buffer_capacity must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.baseline_decay < 1.0:

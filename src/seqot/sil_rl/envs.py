@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from ..embeddings import EmbeddingTable, OovPolicy
+from ..nested import score_matrices
 from ..ot_core import DEFAULT_IPOT, IpotConfig
-from ..seq_match import score_pair
+from ..seq_match import score_pair  # noqa: F401  (perfbench's tracer patches this binding)
 
 
 class RewardKind(str, Enum):
@@ -145,17 +146,14 @@ class ToyEnv:
     def reference_reward(self, tokens: Sequence[int], condition: int | None = None) -> float:
         """Mean transport reward of ``tokens`` against the condition's
         references: the overlap rewards and the buffer's transport criterion.
-        Pair rewards come from the table's pair-score memo, so the two
-        share their solves."""
+        It is the row mean of :func:`seqot.nested.score_matrices`, so the two
+        share their solves through the table's pair-score memo."""
         refs = self.references_for(condition)
         if not refs:
             raise ValueError(f"no references for condition {condition!r}")
-        words = [str(t) for t in tokens]
-        rewards = [
-            self.table.pair_score(words, [str(t) for t in ref], self.ot_config, score_pair)[1]
-            for ref in refs
-        ]
-        return float(np.mean(rewards))
+        ref_words = [[str(t) for t in ref] for ref in refs]
+        _, rewards = score_matrices(self.table, [[str(t) for t in tokens]], ref_words, self.ot_config)
+        return float(np.mean(rewards[0]))
 
     @classmethod
     def markov(
@@ -169,6 +167,8 @@ class ToyEnv:
     ) -> "ToyEnv":
         """Markov-chain log-likelihood environment with an oracle-sampled
         reference corpus (used for pretraining and direct self-imitation)."""
+        if reference_count < 0:
+            raise ValueError("reference_count must be >= 0")
         oracle = MarkovOracle.random(vocab_size, seed, concentration)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         refs = oracle.sample(horizon, reference_count, rng) if reference_count else []
@@ -194,6 +194,8 @@ class ToyEnv:
     ) -> "ToyEnv":
         """Transport-reward environment; ``conditions > 0`` selects the
         conditional variant with one reference set per condition id."""
+        if reference_count < 1:
+            raise ValueError("reference_count must be >= 1 for transport rewards")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         kind = RewardKind.CONDITIONAL if conditions > 0 else RewardKind.TARGET_OVERLAP
         groups = range(conditions) if conditions > 0 else [None]

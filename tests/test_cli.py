@@ -75,6 +75,18 @@ class TestScore:
         assert code == 2
         assert "zebra" in err
 
+    def test_corpus_mode_solves_each_distinct_pair_once(self, capsys, tmp_path, count_solves):
+        solves = count_solves("seqot.nested")
+        hyp = tmp_path / "h.txt"
+        ref = tmp_path / "r.txt"
+        hyp.write_text("a b\nc d\na b\n")
+        ref.write_text("c d\na b\n")
+        code, out, _ = run_cli(capsys, "score", str(hyp), str(ref), "--corpus", "--embeddings", ORTHO)
+        assert code == 0
+        assert len(solves) == len(set(solves)) == 4
+        pairs = json.loads(out)["pairs"]
+        assert pairs[2] == {**pairs[0], "index": 2}
+
     def test_missing_file_exits_two(self, capsys, corpora):
         hyp, _ = corpora
         code, _, err = run_cli(capsys, "score", hyp, "/nonexistent/refs.txt", "--embeddings", ORTHO)
@@ -130,6 +142,35 @@ class TestNested:
                             "--embeddings", ORTHO, "--seed", "5")
         payload = json.loads(out)
         assert len(payload["subsample_a"]) == 3
+
+
+@pytest.mark.parametrize("command", ["score", "compare", "nested"])
+def test_unknown_token_in_a_set_exits_two(capsys, tmp_path, command):
+    hyp = tmp_path / "h.txt"
+    ref = tmp_path / "r.txt"
+    hyp.write_text("a zebra\n")
+    ref.write_text("a b\n")
+    files = [str(ref), str(hyp)] if command == "compare" else [str(hyp), str(ref)]
+    extra = ["--corpus"] if command == "score" else []
+    code, _, err = run_cli(capsys, command, *files, *extra, "--embeddings", ORTHO)
+    assert code == 2
+    assert "zebra" in err
+    assert "pair (0, 0)" in err
+
+
+BAD_FLAGS = [
+    (command, flag, value)
+    for command in ("score", "nested", "compare")
+    for flag, value in (("--gamma", "0"), ("--gamma", "nan"), ("--outer-iters", "0"))
+] + [("nested", "--k", "0"), ("nested", "--k", "-1"), ("nested", "--k-prime", "0")]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
+def test_out_of_range_flag_exits_two(capsys, corpora, command, flag, value):
+    hyp, ref = corpora
+    code, _, err = run_cli(capsys, command, hyp, ref, flag, value, "--embeddings", ORTHO)
+    assert code == 2
+    assert err.startswith(f"error: {flag} must be")
 
 
 class TestMetrics:
@@ -281,6 +322,24 @@ pretrain = false
         code, _, err = run_cli(capsys, "train", str(config))
         assert code == 2
         assert "learning_rate" in err
+
+    @pytest.mark.parametrize("lines, key", [
+        ("gamma = 0", "gamma"),
+        ("outer_iters = 0", "outer_iters"),
+        ("inner_sinkhorn_iters = 0", "inner_sinkhorn_iters"),
+        ("feasibility_tol = 0", "feasibility_tol"),
+        ("temperature = 0", "temperature"),
+        ("buffer_capacity = 0", "buffer_capacity"),
+        ("reference_count = -1", "reference_count"),
+        ("env = overlap\nreference_count = 0", "reference_count"),
+        ("env = conditional\nconditions = 0", "conditions"),
+    ])
+    def test_out_of_range_value_named_exit_two(self, capsys, tmp_path, lines, key):
+        config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{lines}\n")
+        code, _, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert key in err
+        assert not (tmp_path / "out").exists()
 
     def test_shipped_configs_parse(self, capsys, tmp_path):
         for name in ("wsil_i_markov.cfg", "reinforce_markov.cfg"):

@@ -10,7 +10,7 @@ from seqot import (
     nested_wasserstein,
     score_pair,
 )
-from seqot.nested import EmptySetError, NestedSolveError
+from seqot.nested import EmptySetError, NestedSolveError, score_matrices
 from seqot.sil_rl import basis_embedding_table
 
 
@@ -129,6 +129,22 @@ class TestInvariants:
 @pytest.fixture
 def count_inner_solves(count_solves):
     return count_solves("seqot.nested")
+
+
+class TestScoreMatrices:
+    def test_grid_matches_score_pair_solving_each_distinct_pair_once(self, fixtures_dir, count_inner_solves):
+        table = load_embeddings(fixtures_dir / "toy_embeddings.txt")
+        hyps = [["young", "kid", "rides"], ["one", "bike"], ["cow"], ["one", "bike"]]
+        refs = [["youthful", "child", "cycles"], ["single", "bicycle"], ["main", "road", "down"], ["cow"]]
+        distances, rewards = score_matrices(table, hyps, refs)
+        assert distances.shape == rewards.shape == (4, 4)
+        distinct = [(tuple(hyp), tuple(ref)) for hyp in hyps[:3] for ref in refs]
+        assert count_inner_solves == distinct
+        for i, hyp in enumerate(hyps):
+            for j, ref in enumerate(refs):
+                scored = score_pair(table, hyp, ref)
+                assert distances[i, j] == scored.distance
+                assert rewards[i, j] == scored.reward
 
 
 class TestPairScoreMemo:

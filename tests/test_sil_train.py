@@ -248,7 +248,7 @@ class TestPairScoreMemo:
             assert np.array_equal(run.policy.params, cold.policy.params)
 
     def test_transport_buffer_criterion_reuses_the_reward_solves(self, count_solves):
-        solves = count_solves("seqot.sil_rl.envs")
+        solves = count_solves("seqot.nested")
         counts = {}
         for criterion in (BufferCriterion.REWARD, BufferCriterion.NESTED_REWARD):
             del solves[:]
