@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,8 +63,8 @@ def _load_table(args) -> "EmbeddingTable":
 
 
 def _ot_config(args) -> IpotConfig:
-    if not args.gamma > 0:
-        raise UsageError(f"--gamma must be positive, got {args.gamma}")
+    if not 0 < args.gamma < math.inf:
+        raise UsageError(f"--gamma must be finite and positive, got {args.gamma}")
     if args.outer_iters < 1:
         raise UsageError(f"--outer-iters must be >= 1, got {args.outer_iters}")
     return IpotConfig(gamma=args.gamma, outer_iters=args.outer_iters)

@@ -191,6 +191,8 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if sil.pretrain and not any(env.references.values()):
+        raise ConfigError("key 'reference_count': pretrain = true needs at least 1 reference, got 0")
 
     resolved = dict(sorted(values.items()))
     resolved.setdefault("env", env_name)

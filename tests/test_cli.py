@@ -161,7 +161,7 @@ def test_unknown_token_in_a_set_exits_two(capsys, tmp_path, command):
 BAD_FLAGS = [
     (command, flag, value)
     for command in ("score", "nested", "compare")
-    for flag, value in (("--gamma", "0"), ("--gamma", "nan"), ("--outer-iters", "0"))
+    for flag, value in (("--gamma", "0"), ("--gamma", "nan"), ("--gamma", "inf"), ("--outer-iters", "0"))
 ] + [("nested", "--k", "0"), ("nested", "--k", "-1"), ("nested", "--k-prime", "0")]
 
 
@@ -328,9 +328,12 @@ pretrain = false
         ("outer_iters = 0", "outer_iters"),
         ("inner_sinkhorn_iters = 0", "inner_sinkhorn_iters"),
         ("feasibility_tol = 0", "feasibility_tol"),
+        ("gamma = inf", "gamma"),
+        ("feasibility_tol = inf", "feasibility_tol"),
         ("temperature = 0", "temperature"),
         ("buffer_capacity = 0", "buffer_capacity"),
         ("reference_count = -1", "reference_count"),
+        ("reference_count = 0", "reference_count"),
         ("env = overlap\nreference_count = 0", "reference_count"),
         ("env = conditional\nconditions = 0", "conditions"),
     ])
@@ -340,6 +343,12 @@ pretrain = false
         assert code == 2
         assert key in err
         assert not (tmp_path / "out").exists()
+
+    def test_markov_without_references_trains_unpretrained(self, capsys, tmp_path):
+        config = self.write_config(
+            tmp_path, "steps = 5\nvocab_size = 3\nhorizon = 2\nreference_count = 0\npretrain = false\n")
+        code, _, _ = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
+        assert code == 0
 
     def test_shipped_configs_parse(self, capsys, tmp_path):
         for name in ("wsil_i_markov.cfg", "reinforce_markov.cfg"):
