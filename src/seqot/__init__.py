@@ -12,7 +12,7 @@ from .embeddings import (
     load_embeddings,
     resolve,
 )
-from .nested import NestedResult, nested_reward, nested_wasserstein
+from .nested import NestedResult, nested_wasserstein
 from .ot_core import (
     DEFAULT_IPOT,
     IpotConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "load_embeddings",
     "marginal_violation",
     "naive_semantic_score",
-    "nested_reward",
     "nested_wasserstein",
     "resolve",
     "score_pair",

@@ -42,6 +42,9 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 _ENV_KINDS = ("markov", "overlap", "conditional")
 
+# Keys that configure one environment kind and mean nothing to the others.
+_ENV_ONLY_KEYS = {"conditions": "conditional", "oracle_concentration": "markov"}
+
 _KEYS = {
     "steps": int,
     "seed": int,
@@ -132,6 +135,9 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
     env_name = get("env", "markov").lower()
     if env_name not in _ENV_KINDS:
         raise ConfigError(f"key 'env': expected one of {sorted(_ENV_KINDS)}, got {env_name!r}")
+    for key, owner in _ENV_ONLY_KEYS.items():
+        if key in values and env_name != owner:
+            raise ConfigError(f"key {key!r}: applies only to env = {owner}, got env = {env_name}")
     conditions = get("conditions", 4) if env_name == "conditional" else 0
     if env_name == "conditional" and conditions < 1:
         raise ConfigError(f"key 'conditions': env = conditional needs at least 1, got {conditions}")

@@ -137,11 +137,3 @@ def nested_wasserstein(
         distance=float(outer.cost),
         per_hyp_reward=per_hyp,
     )
-
-
-def nested_reward(result: NestedResult, i: int, normalized: bool = False) -> float:
-    """Per-hypothesis reward ``i``; ``normalized`` multiplies away the 1/K row mass."""
-    if not 0 <= i < result.k:
-        raise IndexError(f"hypothesis index {i} out of range for K={result.k}")
-    value = float(result.per_hyp_reward[i])
-    return value * result.k if normalized else value

@@ -1,14 +1,17 @@
 """Prioritized replay of high-reward sequences.
 
-Entries live in per-condition min-heaps keyed by their score, so the worst
-entry is evicted first once a condition reaches capacity; equal scores
-evict the older entry. With deduplication on, re-inserting an existing
-(condition, tokens) pair keeps whichever copy scores higher.
+Each condition keeps one list of entries in a fully specified order: score
+descending, then ``insert_step`` ascending, then arrival ascending. Once a
+condition is full, a newcomer must beat the lowest score; it then evicts
+the first entry of the lowest-score tail, the oldest of the lowest scores.
+With deduplication on, re-inserting an existing (condition, tokens) pair
+keeps whichever copy scores higher, and a replacement arrives when it
+replaces.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -25,7 +28,7 @@ if TYPE_CHECKING:
 class BufferCriterion(str, Enum):
     REWARD = "reward"
     F1_BLEU = "f1_bleu"
-    NESTED_REWARD = "nested_reward"
+    REFERENCE_REWARD = "reference_reward"
 
 
 @dataclass(frozen=True)
@@ -42,11 +45,17 @@ class BufferEntry:
     insert_step: int
 
 
+def _order(entry: BufferEntry) -> tuple[float, int]:
+    return (-entry.reward, entry.insert_step)
+
+
 class ReplayBuffer:
     """Bounded, per-condition, score-prioritized store of sequences.
 
-    Uses lazy deletion: replaced or evicted heap items are dropped when
-    they surface, so insertion and eviction stay O(log capacity).
+    Each condition's pool is a list kept in ``entries`` order; ``insort``
+    places a newcomer after every entry with an equal order key, which is
+    what makes arrival the last tie-break. Capacities are small, so the
+    dedupe lookup is a linear scan.
     """
 
     def __init__(self, capacity: int, dedupe: bool = True):
@@ -54,82 +63,41 @@ class ReplayBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.dedupe = dedupe
-        self._heaps: dict[int | None, list] = {}
-        self._live: set[int] = set()
-        self._by_key: dict[tuple, tuple[int, BufferEntry]] = {}
-        self._counts: dict[int | None, int] = {}
-        self._uid = 0
+        self._pools: dict[int | None, list[BufferEntry]] = {}
 
     def __len__(self) -> int:
-        return len(self._live)
-
-    def size(self, condition: int | None = None) -> int:
-        return self._counts.get(condition, 0)
-
-    def conditions(self) -> list:
-        return sorted(
-            (c for c, n in self._counts.items() if n > 0),
-            key=lambda c: (c is not None, c),
-        )
+        return sum(len(pool) for pool in self._pools.values())
 
     def entries(self, condition: int | None = None) -> list[BufferEntry]:
-        """Live entries for one condition, best score first (older wins ties)."""
-        heap = self._heaps.get(condition, [])
-        live = [item[3] for item in heap if item[2] in self._live]
-        return sorted(live, key=lambda e: (-e.reward, e.insert_step))
+        """Entries for one condition: best score first, then earlier step, then earlier arrival."""
+        return list(self._pools.get(condition, ()))
 
     def min_reward(self, condition: int | None = None) -> float:
-        pool = self.entries(condition)
-        if not pool:
-            raise ValueError("buffer is empty")
-        return pool[-1].reward
+        return self._pool(condition)[-1].reward
 
     def max_reward(self, condition: int | None = None) -> float:
-        pool = self.entries(condition)
+        return self._pool(condition)[0].reward
+
+    def _pool(self, condition: int | None) -> list[BufferEntry]:
+        pool = self._pools.get(condition)
         if not pool:
-            raise ValueError("buffer is empty")
-        return pool[0].reward
-
-    def _prune(self, heap: list):
-        while heap and heap[0][2] not in self._live:
-            heapq.heappop(heap)
-
-    def _push(self, heap: list, entry: BufferEntry) -> int:
-        self._uid += 1
-        heapq.heappush(heap, (entry.reward, entry.insert_step, self._uid, entry))
-        self._live.add(self._uid)
-        return self._uid
+            raise ValueError(f"buffer has no entries for condition {condition!r}")
+        return pool
 
     def add(self, entry: BufferEntry) -> bool:
         """Insert if there is room or the score beats the current minimum."""
-        cond = entry.condition
-        key = (cond, entry.tokens)
-        heap = self._heaps.setdefault(cond, [])
-
-        if self.dedupe and key in self._by_key:
-            old_uid, old_entry = self._by_key[key]
-            if entry.reward <= old_entry.reward:
+        pool = self._pools.setdefault(entry.condition, [])
+        same = [i for i, e in enumerate(pool) if e.tokens == entry.tokens] if self.dedupe else []
+        if same:
+            if entry.reward <= pool[same[0]].reward:
                 return False
-            self._live.discard(old_uid)
-            uid = self._push(heap, entry)
-            self._by_key[key] = (uid, entry)
-            self._prune(heap)
-            return True
-
-        self._prune(heap)
-        if self._counts.get(cond, 0) >= self.capacity:
-            if heap and entry.reward <= heap[0][0]:
+            del pool[same[0]]
+        elif len(pool) >= self.capacity:
+            lowest = pool[-1].reward
+            if entry.reward <= lowest:
                 return False
-            _, _, evicted_uid, evicted = heapq.heappop(heap)
-            self._live.discard(evicted_uid)
-            self._by_key.pop((evicted.condition, evicted.tokens), None)
-            self._counts[cond] -= 1
-            self._prune(heap)
-
-        uid = self._push(heap, entry)
-        if self.dedupe:
-            self._by_key[key] = (uid, entry)
-        self._counts[cond] = self._counts.get(cond, 0) + 1
+            del pool[bisect_left(pool, -lowest, key=lambda e: -e.reward)]
+        insort(pool, entry, key=_order)
         return True
 
     def sample(
@@ -140,9 +108,7 @@ class ReplayBuffer:
     ) -> list[BufferEntry]:
         """Uniform sample without replacement of up to ``count`` entries."""
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        pool = self.entries(condition)
-        if not pool:
-            raise ValueError(f"buffer has no entries for condition {condition!r}")
+        pool = self._pool(condition)
         take = min(count, len(pool))
         picks = gen.choice(len(pool), size=take, replace=False)
         return [pool[int(i)] for i in picks]
@@ -168,7 +134,7 @@ def buffer_update(
             score = traj.reward
         elif criterion is BufferCriterion.F1_BLEU:
             score = _f1_bleu_score(buffer, traj, env, bleu_order)
-        elif criterion is BufferCriterion.NESTED_REWARD:
+        elif criterion is BufferCriterion.REFERENCE_REWARD:
             score = _require_env(env).reference_reward(traj.tokens, traj.condition)
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown criterion {criterion!r}")

@@ -160,11 +160,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sampled episode: tokens, their step log-probs, and the final reward."""
+    """One sampled episode: its condition, tokens and final reward."""
 
     condition: int | None
     tokens: tuple[int, ...]
-    step_logprobs: np.ndarray
     reward: float
 
 
@@ -189,7 +188,6 @@ def sample_trajectories(
         condition = ids[int(gen.integers(0, len(ids)))]
 
     tokens = np.empty((count, env.horizon), dtype=int)
-    logprobs = np.empty((count, env.horizon))
     prev = np.full(count, policy.start_index)
     for t in range(env.horizon):
         probs = policy.step_probs_batch(t, prev)
@@ -197,7 +195,6 @@ def sample_trajectories(
         cdf = probs.cumsum(axis=1)
         chosen = (cdf > draws[:, None]).argmax(axis=1)
         chosen[cdf[:, -1] <= draws] = env.vocab_size - 1  # cdf[-1] may round below 1
-        logprobs[:, t] = np.log(probs[np.arange(count), chosen])
         tokens[:, t] = chosen
         prev = chosen
 
@@ -208,7 +205,6 @@ def sample_trajectories(
             Trajectory(
                 condition=condition,
                 tokens=seq,
-                step_logprobs=logprobs[i].copy(),
                 reward=env.reward(seq, condition),
             )
         )
@@ -218,18 +214,15 @@ def sample_trajectories(
 def greedy_decode(policy: Policy, env: ToyEnv, condition: int | None = None) -> Trajectory:
     """Argmax decode; exact logit ties resolve to the lowest token id."""
     tokens = []
-    logprobs = np.empty(env.horizon)
     prev = np.array([policy.start_index])
     for t in range(env.horizon):
         probs = policy.step_probs_batch(t, prev)[0]
         tok = int(np.argmax(probs))
-        logprobs[t] = np.log(probs[tok])
         tokens.append(tok)
         prev = np.array([tok])
     return Trajectory(
         condition=condition,
         tokens=tuple(tokens),
-        step_logprobs=logprobs,
         reward=env.reward(tokens, condition),
     )
 

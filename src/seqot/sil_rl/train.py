@@ -33,7 +33,6 @@ from .policy import Policy, PolicyKind, Trajectory, greedy_decode, sample_trajec
 @dataclass
 class TrainResult:
     policy: Policy
-    buffer: ReplayBuffer
     records: list[dict]
     rl_steps: int
     sil_steps: int
@@ -191,7 +190,7 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
             }
         )
 
-    return TrainResult(policy=policy, buffer=buffer, records=records,
+    return TrainResult(policy=policy, records=records,
                        rl_steps=rl_steps, sil_steps=sil_steps)
 
 

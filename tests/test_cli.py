@@ -336,6 +336,11 @@ pretrain = false
         ("reference_count = 0", "reference_count"),
         ("env = overlap\nreference_count = 0", "reference_count"),
         ("env = conditional\nconditions = 0", "conditions"),
+        ("env = overlap\nconditions = 3", "conditions"),
+        ("env = markov\nconditions = 3", "conditions"),
+        ("env = overlap\noracle_concentration = 5.0", "oracle_concentration"),
+        ("env = conditional\noracle_concentration = 5.0", "oracle_concentration"),
+        ("buffer_criterion = nested_reward", "reference_reward"),
     ])
     def test_out_of_range_value_named_exit_two(self, capsys, tmp_path, lines, key):
         config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{lines}\n")

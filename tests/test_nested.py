@@ -6,7 +6,6 @@ from seqot import (
     OovPolicy,
     exact_ot_oracle,
     load_embeddings,
-    nested_reward,
     nested_wasserstein,
     score_pair,
 )
@@ -53,16 +52,7 @@ class TestExamples:
         result = nested_wasserstein(ortho_table, group, group)
         # diagonal outer plan with mass 1/K and reward ~1 per matched pair
         for i in range(2):
-            assert nested_reward(result, i) == pytest.approx(0.5, abs=2e-3)
-
-    def test_nested_reward_accessor_and_normalization(self, ortho_table):
-        result = nested_wasserstein(ortho_table, [["a"], ["b"]], [["a"], ["c"]])
-        assert nested_reward(result, 0) == pytest.approx(result.per_hyp_reward[0])
-        assert nested_reward(result, 0, normalized=True) == pytest.approx(
-            2 * result.per_hyp_reward[0]
-        )
-        with pytest.raises(IndexError):
-            nested_reward(result, 2)
+            assert result.per_hyp_reward[i] == pytest.approx(0.5, abs=2e-3)
 
     def test_empty_sets_rejected(self, ortho_table):
         with pytest.raises(EmptySetError):

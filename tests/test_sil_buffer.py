@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqot.sil_rl import (
     BufferCriterion,
@@ -63,7 +65,7 @@ class TestReplayBuffer:
         for cond in (0, 1):
             for i in range(4):
                 buffer.add(entry([i], float(i), condition=cond))
-        assert buffer.size(0) == 2 and buffer.size(1) == 2
+        assert len(buffer.entries(0)) == 2 and len(buffer.entries(1)) == 2
         assert buffer.min_reward(0) == 2.0
 
     def test_sample_uniform_and_deterministic(self):
@@ -94,10 +96,78 @@ class TestReplayBuffer:
         for step in range(30):
             trajs = sample_trajectories(policy, env, 5, rng)
             buffer_update(buffer, trajs, BufferCriterion.REWARD, env=env, step=step)
-            if buffer.size(None) == buffer.capacity:
+            if len(buffer.entries()) == buffer.capacity:
                 current = buffer.min_reward()
                 assert current >= previous_min
                 previous_min = current
+
+
+def model_add(pools, capacity, dedupe, new):
+    """The documented rules on a plain list per condition in arrival order."""
+    pool = pools.setdefault(new.condition, [])
+    same = [i for i, e in enumerate(pool) if dedupe and e.tokens == new.tokens]
+    if same:
+        if new.reward <= pool[same[0]].reward:
+            return False
+        del pool[same[0]]
+    elif len(pool) == capacity:
+        oldest_lowest = min(range(len(pool)), key=lambda i: (pool[i].reward, pool[i].insert_step))
+        if new.reward <= pool[oldest_lowest].reward:
+            return False
+        del pool[oldest_lowest]
+    pool.append(new)
+    return True
+
+
+def model_entries(pool):
+    """Best score first, then the earlier step, then the earlier arrival."""
+    return sorted(pool, key=lambda e: (-e.reward, e.insert_step))
+
+
+# Two tokens over three symbols force dedupe hits; four rewards force ties.
+ADDS = st.lists(
+    st.tuples(
+        st.sampled_from([None, 0, 1]),
+        st.lists(st.integers(0, 2), min_size=1, max_size=2),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+class TestBufferModel:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 6), dedupe=st.booleans(), adds=ADDS)
+    def test_matches_list_model(self, capacity, dedupe, adds):
+        buffer = ReplayBuffer(capacity, dedupe)
+        pools = {}
+        step = 0
+        for condition, tokens, reward, next_step in adds:
+            step += next_step
+            new = entry(tokens, reward, condition, step)
+            assert buffer.add(new) == model_add(pools, capacity, dedupe, new)
+            assert len(buffer) == sum(len(pool) for pool in pools.values())
+            for cond in (None, 0, 1):
+                expected = model_entries(pools.get(cond, []))
+                assert buffer.entries(cond) == expected
+                if expected:
+                    assert buffer.min_reward(cond) == expected[-1].reward
+                    assert buffer.max_reward(cond) == expected[0].reward
+
+    def test_exact_ties_sample_in_arrival_order(self):
+        # The wsil_i Markov config stores these two at step 105 with equal rewards.
+        tied = -9.100107695688681
+        low, high = entry([0] * 8, -12.0, step=100), entry([1] * 8, -8.0, step=100)
+        first = entry([4, 4, 0, 4, 3, 4, 3, 4], tied, step=105)
+        second = entry([4, 0, 4, 3, 4, 3, 4, 4], tied, step=105)
+        buffer = ReplayBuffer(capacity=64)
+        for new in (low, high, first, second):
+            assert buffer.add(new)
+        expected = [high, first, second, low]
+        assert buffer.entries() == expected
+        picks = np.random.default_rng(3).choice(4, size=4, replace=False)
+        assert buffer.sample(4, np.random.default_rng(3)) == [expected[i] for i in picks]
 
 
 class TestBufferUpdate:
@@ -125,8 +195,8 @@ class TestBufferUpdate:
         for step in range(40):
             trajs = sample_trajectories(policy, env, 5, rng)
             buffer_update(buffer, trajs, BufferCriterion.REWARD, env=env, step=step)
-        for cond in buffer.conditions():
-            assert buffer.size(cond) <= 5
+        for cond in env.condition_ids():
+            assert len(buffer.entries(cond)) <= 5
 
     def test_f1_criterion_prefers_reference_like_but_novel(self):
         env = ToyEnv.overlap(4, 3, seed=3, reference_count=2)
@@ -147,7 +217,7 @@ class TestBufferUpdate:
         scores = sorted(e.reward for e in buffer2.entries())
         assert len(scores) == 1  # dedupe keeps the higher (first) score
 
-    def test_nested_reward_criterion_scores_by_reference_match(self):
+    def test_reference_reward_criterion_scores_by_reference_match(self):
         env = ToyEnv.overlap(4, 3, seed=4, reference_count=2)
         ref = env.references_for(None)[0]
 
@@ -160,7 +230,7 @@ class TestBufferUpdate:
         buffer = ReplayBuffer(capacity=8)
         exact = Fake(ref)
         off = Fake(tuple((t + 1) % 4 for t in ref))
-        buffer_update(buffer, [exact, off], BufferCriterion.NESTED_REWARD, env=env)
+        buffer_update(buffer, [exact, off], BufferCriterion.REFERENCE_REWARD, env=env)
         ranked = buffer.entries()
         assert ranked[0].tokens == exact.tokens
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ class TestReinforce:
         policy = Policy.tabular(2, 1)
         trajs = sample_trajectories(policy, env, 5, 3)
         fixed = trajs[0]
-        same_reward = [type(fixed)(t.condition, t.tokens, t.step_logprobs, 1.25) for t in trajs]
+        same_reward = [dataclasses.replace(t, reward=1.25) for t in trajs]
         grad = reinforce_grad(same_reward, policy, baseline=1.25)
         assert np.array_equal(grad, np.zeros_like(policy.params))
 

@@ -250,9 +250,9 @@ class TestPairScoreMemo:
     def test_transport_buffer_criterion_reuses_the_reward_solves(self, count_solves):
         solves = count_solves("seqot.nested")
         counts = {}
-        for criterion in (BufferCriterion.REWARD, BufferCriterion.NESTED_REWARD):
+        for criterion in (BufferCriterion.REWARD, BufferCriterion.REFERENCE_REWARD):
             del solves[:]
             config = SilConfig(lambda_sil=0.0, schedule=ZERO_SCHEDULE, buffer_criterion=criterion)
             train(ToyEnv.overlap(4, 4, reference_count=4), Policy.tabular(4, 4), config, 200)
             counts[criterion] = len(solves)
-        assert 0 < counts[BufferCriterion.NESTED_REWARD] <= counts[BufferCriterion.REWARD]
+        assert 0 < counts[BufferCriterion.REFERENCE_REWARD] <= counts[BufferCriterion.REWARD]
