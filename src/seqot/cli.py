@@ -202,8 +202,6 @@ def cmd_compare(args) -> int:
     candidates = []
     for path in args.candidate_files:
         candidates.extend(read_corpus(path, args.lowercase))
-    if len(candidates) < 1:
-        raise UsageError("need at least one candidate sentence")
 
     _, rewards = score_matrices(table, candidates, [ref], config)
     rows = []

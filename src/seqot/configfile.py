@@ -2,6 +2,9 @@
 training setup (environment, policy, self-imitation config, step count).
 
 Lines are ``key = value`` with ``#`` comments; keys are case-insensitive.
+``_KEYS`` gives each key its type and the constructor argument it fills;
+only the keys a file sets are passed on, so the constructors own every
+default but the five of the file format (see ``build_training_setup``).
 Errors always name the offending key (and line), because the CLI surfaces
 them verbatim with exit code 2.
 """
@@ -9,6 +12,7 @@ them verbatim with exit code 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .ot_core import IpotConfig
 from .sil_rl.buffer import BufferCriterion
@@ -40,69 +44,88 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-_ENV_KINDS = ("markov", "overlap", "conditional")
+class EnvKind(str, Enum):
+    MARKOV = "markov"
+    OVERLAP = "overlap"
+    CONDITIONAL = "conditional"
 
-# Keys that configure one environment kind and mean nothing to the others.
-_ENV_ONLY_KEYS = {"conditions": "conditional", "oracle_concentration": "markov"}
 
+# key -> (type, "target.argument" it fills). The "setup" arguments belong to
+# the file format; "ot" is IpotConfig, "env" the ToyEnv constructor, "policy"
+# Policy.uniform, "sil" SilConfig and "schedule" its Schedule.
 _KEYS = {
-    "steps": int,
-    "seed": int,
-    "env": str,
-    "vocab_size": int,
-    "horizon": int,
-    "env_seed": int,
-    "oracle_concentration": float,
-    "reference_count": int,
-    "conditions": int,
-    "policy": str,
-    "temperature": float,
-    "variant": str,
-    "lambda_sil": float,
-    "k": int,
-    "k_prime": int,
-    "learning_rate": float,
-    "sil_initial": float,
-    "sil_final": float,
-    "sil_ramp_steps": int,
-    "baseline": str,
-    "baseline_decay": float,
-    "buffer_capacity": int,
-    "buffer_criterion": str,
-    "buffer_dedupe": bool,
-    "pretrain": bool,
-    "pretrain_smoothing": float,
-    "bleu_order": int,
-    "gamma": float,
-    "outer_iters": int,
-    "inner_sinkhorn_iters": int,
-    "feasibility_tol": float,
+    "steps": (int, "setup.steps"),
+    "seed": (int, "sil.seed"),
+    "env": (EnvKind, "setup.env"),
+    "vocab_size": (int, "env.vocab_size"),
+    "horizon": (int, "env.horizon"),
+    "env_seed": (int, "env.seed"),
+    "oracle_concentration": (float, "env.concentration"),
+    "reference_count": (int, "env.reference_count"),
+    "conditions": (int, "env.conditions"),
+    "policy": (PolicyKind, "policy.kind"),
+    "temperature": (float, "policy.temperature"),
+    "variant": (SilVariant, "sil.variant"),
+    "lambda_sil": (float, "sil.lambda_sil"),
+    "k": (int, "sil.k"),
+    "k_prime": (int, "sil.k_prime"),
+    "learning_rate": (float, "sil.learning_rate"),
+    "sil_initial": (float, "schedule.initial"),
+    "sil_final": (float, "schedule.final"),
+    "sil_ramp_steps": (int, "schedule.ramp_steps"),
+    "baseline": (BaselineMode, "sil.baseline_mode"),
+    "baseline_decay": (float, "sil.baseline_decay"),
+    "buffer_capacity": (int, "sil.buffer_capacity"),
+    "buffer_criterion": (BufferCriterion, "sil.buffer_criterion"),
+    "buffer_dedupe": (bool, "sil.buffer_dedupe"),
+    "pretrain": (bool, "sil.pretrain"),
+    "pretrain_smoothing": (float, "sil.pretrain_smoothing"),
+    "bleu_order": (int, "sil.bleu_order"),
+    "gamma": (float, "ot.gamma"),
+    "outer_iters": (int, "ot.outer_iters"),
+    "inner_sinkhorn_iters": (int, "ot.inner_sinkhorn_iters"),
+    "feasibility_tol": (float, "ot.feasibility_tol"),
 }
+_KEY_OF = {dest: key for key, (_, dest) in _KEYS.items()}
 
-_REQUIRED = ("steps", "vocab_size", "horizon")
+# key -> (setting, value): the key does something only when that setting
+# (as set, or as defaulted by its owner) has that value.
+_APPLIES_ONLY = {
+    "conditions": ("env", EnvKind.CONDITIONAL),
+    "oracle_concentration": ("env", EnvKind.MARKOV),
+    "bleu_order": ("buffer_criterion", BufferCriterion.F1_BLEU),
+    "pretrain_smoothing": ("pretrain", True),
+    "baseline_decay": ("baseline", BaselineMode.CONSTANT),
+}
 
 
 def _convert(key: str, raw: str):
-    kind = _KEYS[key]
+    kind = _KEYS[key][0]
     if kind is bool:
         lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
+        if lowered in ("true", "yes", "1", "on", "false", "no", "0", "off"):
+            return lowered in ("true", "yes", "1", "on")
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+    is_enum = issubclass(kind, Enum)
     try:
-        return kind(raw)
+        return kind(raw.lower() if is_enum else raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {raw!r}") from None
+        expected = f"one of {sorted(e.value for e in kind)}" if is_enum else kind.__name__
+        raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}") from None
 
 
-def _enum(key: str, raw: str, enum_cls):
+def _show(value) -> str:
+    return value.value if isinstance(value, Enum) else str(value).lower()
+
+
+def _make(target: str, constructor, args: dict, **fixed):
+    """``constructor(**fixed, **args[target])``. Constructors name the
+    argument at fault first in their ValueErrors; report its key instead."""
     try:
-        return enum_cls(raw.lower())
-    except ValueError:
-        options = sorted(e.value for e in enum_cls)
-        raise ConfigError(f"key {key!r}: expected one of {options}, got {raw!r}") from None
+        return constructor(**fixed, **args[target])
+    except ValueError as exc:
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(str(exc).replace(name, _KEY_OF.get(f"{target}.{name}", name), 1)) from exc
 
 
 @dataclass(frozen=True)
@@ -115,92 +138,44 @@ class TrainingSetup:
 
 
 def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
-    """Validate, default, and materialize a parsed config."""
+    """Validate a parsed config and build what it describes. The file format
+    owns five defaults: ``env = markov``, ``seed = 0``, ``env_seed = seed``,
+    ``sil_ramp_steps = max(steps // 2, 1)`` and ``conditions = 4`` under
+    ``env = conditional``; a key its other settings make inert is an error."""
     for key in raw_values:
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
-    for key in _REQUIRED:
+    for key in ("steps", "vocab_size", "horizon"):
         if key not in raw_values:
             raise ConfigError(f"missing required key {key!r}")
     values = {k: _convert(k, v) for k, v in raw_values.items()}
-
-    def get(key, default):
-        return values.get(key, default)
-
-    seed = get("seed", 0)
     steps = values["steps"]
     if steps < 1:
         raise ConfigError("key 'steps': must be >= 1")
 
-    env_name = get("env", "markov").lower()
-    if env_name not in _ENV_KINDS:
-        raise ConfigError(f"key 'env': expected one of {sorted(_ENV_KINDS)}, got {env_name!r}")
-    for key, owner in _ENV_ONLY_KEYS.items():
-        if key in values and env_name != owner:
-            raise ConfigError(f"key {key!r}: applies only to env = {owner}, got env = {env_name}")
-    conditions = get("conditions", 4) if env_name == "conditional" else 0
-    if env_name == "conditional" and conditions < 1:
-        raise ConfigError(f"key 'conditions': env = conditional needs at least 1, got {conditions}")
-    env_seed = get("env_seed", seed)
-    policy_kind = _enum("policy", get("policy", "tabular"), PolicyKind)
-    # The constructors own their range checks; their ValueErrors name the key.
-    try:
-        ot = IpotConfig(
-            gamma=get("gamma", IpotConfig.gamma),
-            outer_iters=get("outer_iters", IpotConfig.outer_iters),
-            inner_sinkhorn_iters=get("inner_sinkhorn_iters", IpotConfig.inner_sinkhorn_iters),
-            feasibility_tol=get("feasibility_tol", IpotConfig.feasibility_tol),
-        )
-        if env_name == "markov":
-            env = ToyEnv.markov(
-                values["vocab_size"],
-                values["horizon"],
-                seed=env_seed,
-                concentration=get("oracle_concentration", 0.3),
-                reference_count=get("reference_count", 16),
-                ot_config=ot,
-            )
-        else:
-            env = ToyEnv.overlap(
-                values["vocab_size"],
-                values["horizon"],
-                seed=env_seed,
-                reference_count=get("reference_count", 8),
-                conditions=conditions,
-                ot_config=ot,
-            )
-        make_policy = Policy.tabular if policy_kind is PolicyKind.TABULAR else Policy.linear
-        policy = make_policy(env.vocab_size, env.horizon, get("temperature", 1.0))
-        sil = SilConfig(
-            lambda_sil=get("lambda_sil", 0.1),
-            k=get("k", 5),
-            k_prime=get("k_prime", 5),
-            schedule=Schedule(
-                initial=get("sil_initial", 0.1),
-                final=get("sil_final", 1.0),
-                ramp_steps=get("sil_ramp_steps", max(steps // 2, 1)),
-            ),
-            baseline_mode=_enum("baseline", get("baseline", "constant"), BaselineMode),
-            variant=_enum("variant", get("variant", "wsil_i"), SilVariant),
-            learning_rate=get("learning_rate", 0.05),
-            seed=seed,
-            baseline_decay=get("baseline_decay", 0.9),
-            buffer_capacity=values.get("buffer_capacity"),
-            buffer_criterion=_enum("buffer_criterion", get("buffer_criterion", "reward"), BufferCriterion),
-            buffer_dedupe=get("buffer_dedupe", True),
-            pretrain=get("pretrain", True),
-            pretrain_smoothing=get("pretrain_smoothing", 1.0),
-            bleu_order=get("bleu_order", 2),
-            ot=ot,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    resolved = dict(sorted(values.items()))
+    resolved.setdefault("env", EnvKind.MARKOV)
+    resolved.setdefault("seed", 0)
+    args: dict[str, dict] = {target: {} for target in ("setup", "ot", "env", "policy", "sil", "schedule")}
+    for key, value in resolved.items():
+        target, _, name = _KEYS[key][1].partition(".")
+        args[target][name] = value
+    env_kind = resolved["env"]
+    args["env"].setdefault("seed", resolved["seed"])
+    args["schedule"].setdefault("ramp_steps", max(steps // 2, 1))
+    if env_kind is EnvKind.CONDITIONAL and args["env"].setdefault("conditions", 4) < 1:
+        raise ConfigError(f"key 'conditions': env = conditional needs at least 1, got {args['env']['conditions']}")
+
+    ot = _make("ot", IpotConfig, args)
+    sil = _make("sil", SilConfig, args, schedule=_make("schedule", Schedule, args), ot=ot)
+    settings = {"setup": args["setup"], "sil": vars(sil)}
+    for key, (setting, needed) in _APPLIES_ONLY.items():
+        target, _, name = _KEYS[setting][1].partition(".")
+        if key in values and settings[target][name] != needed:
+            raise ConfigError(f"key {key!r}: applies only to {setting} = {_show(needed)}, "
+                              f"got {setting} = {_show(settings[target][name])}")
+    env = _make("env", ToyEnv.markov if env_kind is EnvKind.MARKOV else ToyEnv.overlap, args, ot_config=ot)
+    policy = _make("policy", Policy.uniform, args, vocab_size=env.vocab_size, horizon=env.horizon)
     if sil.pretrain and not any(env.references.values()):
         raise ConfigError("key 'reference_count': pretrain = true needs at least 1 reference, got 0")
-
-    resolved = dict(sorted(values.items()))
-    resolved.setdefault("env", env_name)
-    resolved.setdefault("seed", seed)
     return TrainingSetup(env=env, policy=policy, sil=sil, steps=steps, resolved=resolved)

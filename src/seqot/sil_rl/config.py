@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from ..ot_core import DEFAULT_IPOT, IpotConfig
+from ..text_metrics import BLEU_ORDERS
 from .buffer import BufferCriterion
 
 
@@ -40,8 +42,10 @@ class Schedule:
     ramp_steps: int = 1000
 
     def __post_init__(self):
-        if self.initial < 0 or self.final < 0:
-            raise ValueError("schedule ratios must be >= 0")
+        if not 0 <= self.initial < math.inf:
+            raise ValueError("initial must be finite and >= 0")
+        if not 0 <= self.final < math.inf:
+            raise ValueError("final must be finite and >= 0")
         if self.ramp_steps < 0:
             raise ValueError("ramp_steps must be >= 0")
 
@@ -71,13 +75,19 @@ class SilConfig:
     ot: IpotConfig = field(default_factory=lambda: DEFAULT_IPOT)
 
     def __post_init__(self):
-        if self.lambda_sil < 0:
-            raise ValueError("lambda_sil must be >= 0")
+        if not 0 <= self.lambda_sil < math.inf:
+            raise ValueError("lambda_sil must be finite and >= 0")
         if self.k < 1 or self.k_prime < 1:
             raise ValueError("k and k_prime must be >= 1")
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.baseline_decay < 1.0:
             raise ValueError("baseline_decay must lie in [0, 1)")
+        if not 0 < self.pretrain_smoothing < math.inf:
+            raise ValueError("pretrain_smoothing must be finite and positive")
+        if self.bleu_order not in BLEU_ORDERS:
+            raise ValueError(f"bleu_order must be one of {BLEU_ORDERS}, got {self.bleu_order}")

@@ -10,6 +10,7 @@ where a condition id selects among several reference sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -58,6 +59,8 @@ class MarkovOracle:
     @classmethod
     def random(cls, vocab_size: int, seed: int, concentration: float = 0.3) -> "MarkovOracle":
         """Dirichlet-sampled chain; small concentration gives peaked rows."""
+        if not 0 < concentration < math.inf:
+            raise ValueError("concentration must be finite and positive")
         rng = np.random.default_rng(seed)
         alpha = np.full(vocab_size, concentration)
         initial = rng.dirichlet(alpha)
@@ -126,10 +129,7 @@ class ToyEnv:
         return sorted(k for k in self.references if k is not None)
 
     def references_for(self, condition: int | None) -> list[tuple[int, ...]]:
-        refs = self.references.get(condition if self.conditional else None, [])
-        if not refs and None in self.references:
-            refs = self.references[None]
-        return refs
+        return self.references.get(condition if self.conditional else None, [])
 
     def reward(self, tokens: Sequence[int], condition: int | None = None) -> float:
         key = (condition if self.conditional else None, tuple(tokens))
@@ -167,6 +167,8 @@ class ToyEnv:
     ) -> "ToyEnv":
         """Markov-chain log-likelihood environment with an oracle-sampled
         reference corpus (used for pretraining and direct self-imitation)."""
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         if reference_count < 0:
             raise ValueError("reference_count must be >= 0")
         oracle = MarkovOracle.random(vocab_size, seed, concentration)
@@ -194,6 +196,8 @@ class ToyEnv:
     ) -> "ToyEnv":
         """Transport-reward environment; ``conditions > 0`` selects the
         conditional variant with one reference set per condition id."""
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         if reference_count < 1:
             raise ValueError("reference_count must be >= 1 for transport rewards")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))

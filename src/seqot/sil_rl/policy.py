@@ -13,6 +13,7 @@ and the closed form keeps finite-difference and enumeration oracles cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,8 +44,8 @@ class Policy:
             raise ValueError(f"params must have shape ({expected},), got {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("policy logits must be finite")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and positive")
 
     # previous-token index used at position 0
     @property
@@ -58,14 +59,19 @@ class Policy:
         return vocab_size * (horizon + vocab_size + 1)
 
     @classmethod
+    def uniform(cls, vocab_size: int, horizon: int, temperature: float = 1.0,
+                kind: PolicyKind = PolicyKind.TABULAR) -> "Policy":
+        """All-zero logits: the uniform policy of ``kind``."""
+        size = cls.num_params(kind, vocab_size, horizon)
+        return cls(kind, vocab_size, horizon, np.zeros(size), temperature)
+
+    @classmethod
     def tabular(cls, vocab_size: int, horizon: int, temperature: float = 1.0) -> "Policy":
-        size = cls.num_params(PolicyKind.TABULAR, vocab_size, horizon)
-        return cls(PolicyKind.TABULAR, vocab_size, horizon, np.zeros(size), temperature)
+        return cls.uniform(vocab_size, horizon, temperature)
 
     @classmethod
     def linear(cls, vocab_size: int, horizon: int, temperature: float = 1.0) -> "Policy":
-        size = cls.num_params(PolicyKind.LINEAR, vocab_size, horizon)
-        return cls(PolicyKind.LINEAR, vocab_size, horizon, np.zeros(size), temperature)
+        return cls.uniform(vocab_size, horizon, temperature, PolicyKind.LINEAR)
 
     def copy(self) -> "Policy":
         return Policy(self.kind, self.vocab_size, self.horizon, self.params.copy(), self.temperature)

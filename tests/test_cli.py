@@ -5,7 +5,12 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from seqot import configfile
 from seqot.cli import main
+from seqot.sil_rl.buffer import BufferCriterion
+from seqot.sil_rl.config import BaselineMode, SilVariant
+from seqot.sil_rl.envs import MarkovOracle, RewardKind
+from seqot.sil_rl.policy import PolicyKind
 
 REPO = Path(__file__).resolve().parent.parent
 EMB = str(REPO / "fixtures" / "toy_embeddings.txt")
@@ -341,6 +346,28 @@ pretrain = false
         ("env = overlap\noracle_concentration = 5.0", "oracle_concentration"),
         ("env = conditional\noracle_concentration = 5.0", "oracle_concentration"),
         ("buffer_criterion = nested_reward", "reference_reward"),
+        ("bleu_order = 3", "bleu_order"),
+        ("pretrain = false\npretrain_smoothing = 2.0", "pretrain_smoothing"),
+        ("baseline = greedy\nbaseline_decay = 0.5", "baseline_decay"),
+        ("lambda_sil = nan", "lambda_sil"),
+        ("lambda_sil = inf", "lambda_sil"),
+        ("learning_rate = inf", "learning_rate"),
+        ("pretrain_smoothing = 0", "pretrain_smoothing"),
+        ("pretrain_smoothing = -1", "pretrain_smoothing"),
+        ("pretrain_smoothing = nan", "pretrain_smoothing"),
+        ("pretrain_smoothing = inf", "pretrain_smoothing"),
+        ("temperature = inf", "temperature"),
+        ("sil_initial = nan", "sil_initial"),
+        ("buffer_criterion = f1_bleu\nbleu_order = 7", "bleu_order"),
+        ("sil_ramp_steps = -1", "sil_ramp_steps"),
+        ("sil_initial = -1", "sil_initial"),
+        ("sil_final = -0.5", "sil_final"),
+        ("seed = -1", "seed"),
+        ("env_seed = -1", "env_seed"),
+        ("oracle_concentration = 0", "oracle_concentration"),
+        ("oracle_concentration = -1", "oracle_concentration"),
+        ("oracle_concentration = nan", "oracle_concentration"),
+        ("oracle_concentration = inf", "oracle_concentration"),
     ])
     def test_out_of_range_value_named_exit_two(self, capsys, tmp_path, lines, key):
         config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{lines}\n")
@@ -348,6 +375,16 @@ pretrain = false
         assert code == 2
         assert key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines", [
+        "buffer_criterion = f1_bleu\nbleu_order = 3",
+        "pretrain = true\npretrain_smoothing = 2.0",
+        "baseline = constant\nbaseline_decay = 0.5",
+    ])
+    def test_applies_only_key_trains_under_its_setting(self, capsys, tmp_path, lines):
+        config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{lines}\n")
+        code, _, _ = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
+        assert code == 0
 
     def test_markov_without_references_trains_unpretrained(self, capsys, tmp_path):
         config = self.write_config(
@@ -364,3 +401,58 @@ pretrain = false
             out_dir = tmp_path / f"out_{name}"
             code, _, _ = run_cli(capsys, "train", str(config), "--out", str(out_dir))
             assert code == 0
+
+
+REQUIRED_KEYS = {"steps": "5", "vocab_size": "3", "horizon": "2"}
+
+# Each key at a valid value other than its default, any lines it needs in
+# order to apply, where the built setup holds it, and what that should read.
+KEY_PROBES = {
+    "steps": ("7", {}, lambda s: s.steps, 7),
+    "seed": ("3", {}, lambda s: s.sil.seed, 3),
+    "env": ("overlap", {}, lambda s: s.env.reward_fn, RewardKind.TARGET_OVERLAP),
+    "vocab_size": ("4", {}, lambda s: (s.env.vocab_size, s.policy.vocab_size), (4, 4)),
+    "horizon": ("3", {}, lambda s: (s.env.horizon, s.policy.horizon), (3, 3)),
+    "env_seed": ("9", {}, lambda s: s.env.seed, 9),
+    "oracle_concentration": ("2.0", {}, lambda s: s.env.oracle.initial.tolist(),
+                             MarkovOracle.random(3, 0, 2.0).initial.tolist()),
+    "reference_count": ("5", {}, lambda s: len(s.env.references[None]), 5),
+    "conditions": ("2", {"env": "conditional"}, lambda s: s.env.condition_ids(), [0, 1]),
+    "policy": ("linear", {}, lambda s: s.policy.kind, PolicyKind.LINEAR),
+    "temperature": ("0.5", {}, lambda s: s.policy.temperature, 0.5),
+    "variant": ("wsil_d", {}, lambda s: s.sil.variant, SilVariant.WSIL_D),
+    "lambda_sil": ("2.0", {}, lambda s: s.sil.lambda_sil, 2.0),
+    "k": ("3", {}, lambda s: s.sil.k, 3),
+    "k_prime": ("4", {}, lambda s: s.sil.k_prime, 4),
+    "learning_rate": ("0.2", {}, lambda s: s.sil.learning_rate, 0.2),
+    "sil_initial": ("0.3", {}, lambda s: s.sil.schedule.initial, 0.3),
+    "sil_final": ("0.7", {}, lambda s: s.sil.schedule.final, 0.7),
+    "sil_ramp_steps": ("9", {}, lambda s: s.sil.schedule.ramp_steps, 9),
+    "baseline": ("greedy", {}, lambda s: s.sil.baseline_mode, BaselineMode.GREEDY),
+    "baseline_decay": ("0.5", {}, lambda s: s.sil.baseline_decay, 0.5),
+    "buffer_capacity": ("7", {}, lambda s: s.sil.buffer_capacity, 7),
+    "buffer_criterion": ("f1_bleu", {}, lambda s: s.sil.buffer_criterion, BufferCriterion.F1_BLEU),
+    "buffer_dedupe": ("false", {}, lambda s: s.sil.buffer_dedupe, False),
+    "pretrain": ("false", {}, lambda s: s.sil.pretrain, False),
+    "pretrain_smoothing": ("2.0", {}, lambda s: s.sil.pretrain_smoothing, 2.0),
+    "bleu_order": ("3", {"buffer_criterion": "f1_bleu"}, lambda s: s.sil.bleu_order, 3),
+    "gamma": ("0.5", {}, lambda s: (s.sil.ot.gamma, s.env.ot_config.gamma), (0.5, 0.5)),
+    "outer_iters": ("50", {}, lambda s: (s.sil.ot.outer_iters, s.env.ot_config.outer_iters), (50, 50)),
+    "inner_sinkhorn_iters": ("2", {}, lambda s: (s.sil.ot.inner_sinkhorn_iters,
+                                                 s.env.ot_config.inner_sinkhorn_iters), (2, 2)),
+    "feasibility_tol": ("1e-5", {}, lambda s: (s.sil.ot.feasibility_tol, s.env.ot_config.feasibility_tol),
+                        (1e-5, 1e-5)),
+}
+
+
+def test_key_probes_cover_the_key_table():
+    assert KEY_PROBES.keys() == configfile._KEYS.keys()
+
+
+@pytest.mark.parametrize("key", list(configfile._KEYS))
+def test_each_key_reaches_the_field_it_names(key):
+    raw, needs, probe, expected = KEY_PROBES[key]
+    without = configfile.build_training_setup({**REQUIRED_KEYS, **needs})
+    with_key = configfile.build_training_setup({**REQUIRED_KEYS, **needs, key: raw})
+    assert probe(without) != expected
+    assert probe(with_key) == expected

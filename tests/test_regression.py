@@ -8,6 +8,7 @@ arithmetic. A change that moves these values on purpose regenerates them
 and says which values moved, by how much, and why.
 """
 
+import importlib.util
 import json
 import math
 import sys
@@ -24,6 +25,7 @@ EMB = str(REPO / "fixtures" / "toy_embeddings.txt")
 TRIPLE = REPO / "fixtures" / "synonym_triple"
 
 TRAIN_CONFIGS = ("wsil_i_markov", "reinforce_markov")
+VARIANT_STEPS = 40
 CLI_CASES = ("score_pairwise", "score_corpus", "nested", "compare")
 FLOAT_TOL = 1e-12
 
@@ -62,13 +64,69 @@ def cli_outputs(directory: Path) -> dict[str, dict]:
     return outputs
 
 
-def train_outputs(config_name: str, directory: Path) -> dict:
+def train_outputs(config: Path, directory: Path) -> dict:
     """Final policy parameters and every persisted train record."""
-    assert main(["train", str(REPO / "configs" / f"{config_name}.cfg"), "--out", str(directory)]) == 0
+    assert main(["train", str(config), "--out", str(directory)]) == 0
     records = [json.loads(line) for line in (directory / "train_log.jsonl").read_text().splitlines()[1:]]
     policy = json.loads((directory / "policy.json").read_text())
     del policy["manifest"]
     return {"policy": policy, "records": records}
+
+
+def edit_config(text: str, **settings) -> str:
+    """``text`` with each given key set to its value (``None`` drops the key)."""
+    lines = []
+    for line in text.splitlines():
+        key = line.partition("=")[0].strip()
+        if key in settings:
+            value = settings.pop(key)
+            if value is None:
+                continue
+            line = f"{key} = {value}"
+        lines.append(line)
+    lines += [f"{key} = {value}" for key, value in settings.items()]
+    return "\n".join(lines) + "\n"
+
+
+def benchmark_config(arm: str) -> str:
+    """The benchmark's A7 training config for ``arm`` (``perfbench/gen.py``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.train_config(arm, 3, 0, steps=VARIANT_STEPS)
+
+
+def variant_configs() -> dict[str, str]:
+    """Short runs down every training path: each policy kind, variant, env,
+    baseline and buffer criterion, and configs that lean on the defaults."""
+    base = (REPO / "configs" / "wsil_i_markov.cfg").read_text()
+
+    def variant(**settings) -> str:
+        return edit_config(base, steps=VARIANT_STEPS, **settings)
+
+    required = f"steps = {VARIANT_STEPS}\nvocab_size = 5\nhorizon = 4\n"
+    return {
+        "benchmark_wsil": benchmark_config("wsil"),
+        "benchmark_reinforce": benchmark_config("reinforce"),
+        "linear_wsil_i": variant(policy="linear"),
+        "linear_wsil_d": variant(policy="linear", variant="wsil_d"),
+        "overlap_reference_reward": variant(env="overlap", buffer_criterion="reference_reward",
+                                            oracle_concentration=None),
+        "conditional_wsil_d": variant(env="conditional", variant="wsil_d", oracle_concentration=None),
+        "f1_bleu_order_3": variant(buffer_criterion="f1_bleu", bleu_order=3),
+        "greedy_sil_i_now": variant(baseline="greedy", variant="sil_i_now"),
+        "required_only": required,
+        "required_conditional_sil_d_now": required + "env = conditional\nvariant = sil_d_now\nsil_initial = 0.5\n",
+    }
+
+
+def variant_outputs(name: str, text: str, directory: Path) -> dict:
+    """The resolved config of the run's manifest, plus :func:`train_outputs`."""
+    config = directory / f"{name}.cfg"
+    config.write_text(text)
+    outputs = train_outputs(config, directory / name)
+    manifest = json.loads((directory / name / "manifest.json").read_text())
+    return {"config": manifest["config"], **outputs}
 
 
 def assert_matches(actual, expected, where="output"):
@@ -91,9 +149,19 @@ def load_golden(name: str):
     return json.loads((GOLDEN / f"{name}.json").read_text())
 
 
+def shipped_config(name: str) -> Path:
+    return REPO / "configs" / f"{name}.cfg"
+
+
 @pytest.mark.parametrize("config_name", TRAIN_CONFIGS)
 def test_train_matches_golden(tmp_path, config_name):
-    assert_matches(train_outputs(config_name, tmp_path), load_golden(f"train_{config_name}"))
+    assert_matches(train_outputs(shipped_config(config_name), tmp_path), load_golden(f"train_{config_name}"))
+
+
+@pytest.mark.parametrize("name", list(variant_configs()))
+def test_train_variant_matches_golden(tmp_path, name):
+    actual = variant_outputs(name, variant_configs()[name], tmp_path)
+    assert_matches(actual, load_golden("train_variants")[name], name)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +185,9 @@ def test_comparison_is_strict_on_structure_and_tolerant_only_on_floats():
 def write_goldens() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        goldens = {f"train_{name}": train_outputs(name, root / name) for name in TRAIN_CONFIGS}
+        goldens = {f"train_{name}": train_outputs(shipped_config(name), root / name) for name in TRAIN_CONFIGS}
+        goldens["train_variants"] = {name: variant_outputs(name, text, root)
+                                     for name, text in variant_configs().items()}
         goldens["cli"] = cli_outputs(root)
     for name, payload in goldens.items():
         (GOLDEN / f"{name}.json").write_text(json.dumps(payload, indent=1) + "\n")
