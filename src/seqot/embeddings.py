@@ -218,11 +218,15 @@ def cosine_cost(za: Sequence[float], zb: Sequence[float]) -> float:
     """``1 - cos(za, zb)``, clipped into [0, 2]."""
     a = np.asarray(za, dtype=float)
     b = np.asarray(zb, dtype=float)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    ma = np.max(np.abs(a), initial=0.0)
+    mb = np.max(np.abs(b), initial=0.0)
+    if ma == 0.0 or mb == 0.0:
         raise DegenerateVectorError()
-    return float(np.clip(1.0 - (a / na) @ (b / nb), 0.0, 2.0))
+    # Rescale by the largest entry first: squaring tiny entries inside the
+    # norm would underflow into subnormals and make the cost scale-dependent.
+    a = a / ma
+    b = b / mb
+    return float(np.clip(1.0 - (a / np.linalg.norm(a)) @ (b / np.linalg.norm(b)), 0.0, 2.0))
 
 
 @dataclass(frozen=True)
