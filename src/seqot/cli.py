@@ -26,7 +26,7 @@ from .manifest import build_manifest
 from .nested import NestedSolveError, nested_wasserstein, score_matrices
 from .ot_core import IpotConfig
 from .seq_match import score_pair
-from .sil_rl.train import file_log_record, train
+from .sil_rl.train import DivergedError, file_log_record, train
 from .text_metrics import (
     BleuReport,
     EmptyCorpusError,
@@ -40,7 +40,8 @@ class UsageError(ValueError):
     """Bad input the user can fix; reported with exit code 2."""
 
 
-_INPUT_ERRORS = (UsageError, ConfigError, EmbeddingError, EmptyCorpusError, TooFewSentencesError, OSError)
+_INPUT_ERRORS = (UsageError, ConfigError, DivergedError, EmbeddingError, EmptyCorpusError, TooFewSentencesError,
+                 OSError)
 
 
 def read_corpus(path, lowercase: bool = False) -> list[list[str]]:

@@ -86,8 +86,8 @@ class UnknownTokenError(EmbeddingError):
 
 
 class DegenerateVectorError(EmbeddingError):
-    def __init__(self, what: str = "input"):
-        super().__init__(f"zero-norm {what}: cosine cost undefined")
+    def __init__(self):
+        super().__init__("zero-norm input: cosine cost undefined")
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,7 @@ def _hash_fallback_vector(token: str, dim: int) -> np.ndarray:
     """Deterministic unit vector for an OOV token (stable across runs)."""
     digest = hashlib.sha256(b"seqot-oov:" + token.encode("utf-8")).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-    v = rng.standard_normal(dim)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:  # unreachable in practice, keep the invariant airtight
-        v = np.zeros(dim)
-        v[0] = 1.0
-        return v
-    return v / norm
+    return _unit_rows(rng.standard_normal(dim))
 
 
 def load_embeddings(path, oov_policy: OovPolicy = OovPolicy.STRICT) -> EmbeddingTable:
@@ -188,7 +182,7 @@ def load_embeddings(path, oov_policy: OovPolicy = OovPolicy.STRICT) -> Embedding
             raise InvalidValueError(lineno, bad) from exc
         if not np.all(np.isfinite(vec)):
             raise InvalidValueError(lineno, "non-finite component")
-        if np.linalg.norm(vec) == 0.0:
+        if not vec.any():
             raise ZeroVectorError(lineno, token)
         if token in entries:
             logger.warning("duplicate token %r at line %d: last occurrence wins", token, lineno)
@@ -214,19 +208,25 @@ def resolve(table: EmbeddingTable, tokens: Sequence[str]) -> np.ndarray:
     return np.stack([table.vector(t) for t in tokens])
 
 
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Each row (or the one vector) scaled to unit Euclidean length.
+
+    Each row is first divided by its largest absolute entry, so squaring
+    inside the norm neither underflows (entries near 1e-160) nor overflows
+    (near 1e160), and every nonzero finite row gets its direction whatever
+    its scale.
+    """
+    scaled = vectors / np.abs(vectors).max(axis=-1, keepdims=True)
+    return scaled / np.sqrt(np.add.reduce(scaled * scaled, axis=-1, keepdims=True))
+
+
 def cosine_cost(za: Sequence[float], zb: Sequence[float]) -> float:
     """``1 - cos(za, zb)``, clipped into [0, 2]."""
     a = np.asarray(za, dtype=float)
     b = np.asarray(zb, dtype=float)
-    ma = np.max(np.abs(a), initial=0.0)
-    mb = np.max(np.abs(b), initial=0.0)
-    if ma == 0.0 or mb == 0.0:
+    if not a.any() or not b.any():
         raise DegenerateVectorError()
-    # Rescale by the largest entry first: squaring tiny entries inside the
-    # norm would underflow into subnormals and make the cost scale-dependent.
-    a = a / ma
-    b = b / mb
-    return float(np.clip(1.0 - (a / np.linalg.norm(a)) @ (b / np.linalg.norm(b)), 0.0, 2.0))
+    return float(np.clip(1.0 - _unit_rows(a) @ _unit_rows(b), 0.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -253,13 +253,9 @@ def build_cost_matrix(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[s
     n, m = len(hyp), len(ref)
     size = max(n, m)
 
-    eh = resolve(table, hyp)
-    er = resolve(table, ref)
-    eh = eh / np.linalg.norm(eh, axis=1, keepdims=True)
-    er = er / np.linalg.norm(er, axis=1, keepdims=True)
-
+    units = _unit_rows(resolve(table, [*hyp, *ref]))
     values = np.full((size, size), PAD_REAL_COST)
-    values[:n, :m] = np.clip(1.0 - eh @ er.T, 0.0, 2.0)
+    values[:n, :m] = np.clip(1.0 - units[:n] @ units[n:].T, 0.0, 2.0)
     same = np.array([[h == r for r in ref] for h in hyp])
     values[:n, :m][same] = 0.0
     return CostMatrix(values=values)

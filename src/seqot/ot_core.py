@@ -26,6 +26,10 @@ class OracleTooLargeError(ValueError):
         self.n = n
 
 
+#: Every division in the solver clamps its denominator at this floor.
+EPSILON_FLOOR = 1e-300
+
+
 @dataclass(frozen=True)
 class IpotConfig:
     """Proximal-solver knobs.
@@ -35,14 +39,13 @@ class IpotConfig:
     steps on bounded costs. One inner Sinkhorn sweep per outer step is the
     conventional choice. The solver stops early once the plan is feasible
     within ``feasibility_tol`` *and* stationary between consecutive outer
-    steps; all divisions clamp denominators at ``epsilon_floor``.
+    steps.
     """
 
     gamma: float = 0.25
     outer_iters: int = 1000
     inner_sinkhorn_iters: int = 1
     feasibility_tol: float = 1e-6
-    epsilon_floor: float = 1e-300
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
@@ -53,8 +56,6 @@ class IpotConfig:
             raise ValueError("inner_sinkhorn_iters must be >= 1")
         if not 0 < self.feasibility_tol < math.inf:
             raise ValueError("feasibility_tol must be finite and positive")
-        if not self.epsilon_floor > 0:
-            raise ValueError("epsilon_floor must be positive")
 
 
 DEFAULT_IPOT = IpotConfig()
@@ -64,32 +65,28 @@ DEFAULT_IPOT = IpotConfig()
 class TransportPlan:
     """Nonnegative coupling with uniform marginals and its transport cost.
 
-    Rows carry mass ``1/n`` and columns ``1/m`` (within the solver's
-    feasibility tolerance); ``cost`` is the Frobenius product of ``values``
-    with the cost matrix it was solved against. ``converged`` records
-    whether the returned plan met the feasibility tolerance (early stop or
-    not); ``iterations_used`` distinguishes an early stop from exhausting
-    ``outer_iters``.
+    The ``n`` rows of ``values`` carry mass ``1/n`` and its ``m`` columns
+    ``1/m`` (within the solver's feasibility tolerance); ``cost`` is the
+    Frobenius product of ``values`` with the cost matrix it was solved
+    against. ``converged`` records whether the returned plan met the
+    feasibility tolerance (early stop or not); ``iterations_used``
+    distinguishes an early stop from exhausting ``outer_iters``.
     """
 
     values: np.ndarray
-    row_marginal: float
-    col_marginal: float
     cost: float
     converged: bool
     iterations_used: int
 
 
 def marginal_violation(plan: TransportPlan | np.ndarray) -> float:
-    """L1 sum of row- and column-marginal deviations of ``plan``; a bare
-    ``n x m`` coupling is measured against the uniform ``1/n`` and ``1/m``."""
-    if isinstance(plan, TransportPlan):
-        values, row, col = plan.values, plan.row_marginal, plan.col_marginal
-    else:
-        values, row, col = plan, 1.0 / plan.shape[0], 1.0 / plan.shape[1]
+    """L1 sum of the deviations of an ``n x m`` coupling (a plan or a bare
+    array) from the uniform row marginal ``1/n`` and column marginal ``1/m``."""
+    values = plan.values if isinstance(plan, TransportPlan) else plan
+    n, m = values.shape
     total = np.add.reduce
-    rows = total(np.abs(total(values, 1) - row))
-    cols = total(np.abs(total(values, 0) - col))
+    rows = total(np.abs(total(values, 1) - 1.0 / n))
+    cols = total(np.abs(total(values, 0) - 1.0 / m))
     return float(rows + cols)
 
 
@@ -128,13 +125,13 @@ def ipot_solve(
         raise NonFiniteCostError()
 
     n, m = c.shape
-    row_marginal = 1.0 / n
-    col_marginal = 1.0 / m
     row_count, col_count = np.array(float(n)), np.array(float(m))
-    floor = np.array(config.epsilon_floor)
+    floor = np.array(EPSILON_FLOOR)
     tol = config.feasibility_tol
 
-    kernel = np.exp(-c / config.gamma)
+    # Shifting negative costs up to 0 scales the kernel by a constant,
+    # which the Sinkhorn scalings absorb, and keeps exp() from overflowing.
+    kernel = np.exp((c.min(initial=0.0) - c) / config.gamma)
     plan = np.ones((n, m))
     new_plan = np.empty((n, m))
     q = np.empty((n, m))
@@ -142,7 +139,7 @@ def ipot_solve(
     diff = np.empty((n, m))
     delta = np.empty(n)
     delta_col = delta[:, None]
-    sigma = np.full(m, col_marginal)
+    sigma = np.full(m, 1.0 / m)
 
     witness = 0
     violation = None
@@ -177,8 +174,6 @@ def ipot_solve(
 
     return TransportPlan(
         values=plan,
-        row_marginal=row_marginal,
-        col_marginal=col_marginal,
         cost=float(np.multiply(plan, c, out=diff).sum()),
         converged=violation <= tol,
         iterations_used=it,
@@ -213,12 +208,5 @@ def exact_ot_oracle(cost: np.ndarray) -> tuple[float, TransportPlan]:
     for i, j in enumerate(best_perm):
         values[i, j] = 1.0 / n
     best = best_cost / n
-    plan = TransportPlan(
-        values=values,
-        row_marginal=1.0 / n,
-        col_marginal=1.0 / n,
-        cost=float(best),
-        converged=True,
-        iterations_used=0,
-    )
+    plan = TransportPlan(values=values, cost=float(best), converged=True, iterations_used=0)
     return float(best), plan

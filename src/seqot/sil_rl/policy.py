@@ -1,14 +1,15 @@
 """Autoregressive softmax policies over toy token environments.
 
-Both policy classes condition each step on (position, previous token); the
-tabular kind keeps one logit row per (position, previous) pair while the
-linear kind adds a position column and a previous-token column of a weight
-matrix, which ties parameters across contexts. Every computation goes
-through one batched step, ``step_probs_batch``, with a single sequence as
-the K=1 case. The one gradient primitive is the weighted score-function
-sum ``grad_log_prob(tokens[K, H], w) = sum_k w_k grad log pi(y_k)`` in
-closed form; every policy-gradient update is that sum with its own weights,
-and the closed form keeps finite-difference and enumeration oracles cheap.
+Both policy kinds view their parameters as a matrix of logit rows and
+condition each step on (position, previous token): the tabular kind keeps
+one row per context, the linear kind sums a position row and a
+previous-token row, which ties parameters across contexts. Every
+computation goes through one batched step, ``step_probs_batch``, with a
+single sequence as the K=1 case. The one gradient primitive is the
+weighted score-function sum ``grad_log_prob(tokens[K, H], w) = sum_k w_k
+grad log pi(y_k)`` in closed form; every policy-gradient update is that
+sum with its own weights, and the closed form keeps finite-difference and
+enumeration oracles cheap.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class PolicyKind(str, Enum):
 
 @dataclass
 class Policy:
-    """Flat-parameter softmax policy; ``params`` must stay finite."""
+    """Flat-parameter softmax policy; ``params`` must stay finite. Only
+    ``num_params``, ``logit_rows`` and ``feature_rows`` read ``kind``."""
 
     kind: PolicyKind
     vocab_size: int
@@ -76,28 +78,37 @@ class Policy:
     def copy(self) -> "Policy":
         return Policy(self.kind, self.vocab_size, self.horizon, self.params.copy(), self.temperature)
 
-    def _table(self) -> np.ndarray:
-        return self.params.reshape(self.horizon, self.vocab_size + 1, self.vocab_size)
+    def logit_rows(self, flat: np.ndarray) -> np.ndarray:
+        """``flat`` (shaped like ``params``) viewed as (rows, V) logit rows:
+        H * (V+1) rows in order (tabular), or the H + V + 1 columns of a
+        (V, H+V+1) weight matrix (linear)."""
+        if self.kind is PolicyKind.TABULAR:
+            return flat.reshape(-1, self.vocab_size)
+        return flat.reshape(self.vocab_size, -1).T
 
-    def _weights(self) -> np.ndarray:
-        return self.params.reshape(self.vocab_size, self.horizon + self.vocab_size + 1)
+    def feature_rows(self, position, prev) -> tuple:
+        """Index arrays (or ints) of the logit rows a context sums: row
+        ``t * (V+1) + prev`` (tabular), or rows ``t`` and ``H + prev`` (linear)."""
+        if self.kind is PolicyKind.TABULAR:
+            return (position * (self.vocab_size + 1) + prev,)
+        return position, self.horizon + prev
 
     def step_probs_batch(self, position: int | np.ndarray, prev: int | np.ndarray) -> np.ndarray:
         """Next-token distributions, one row per (position, previous token)
         context; ``position`` and ``prev`` are int arrays (or ints) that
         broadcast against each other."""
-        if self.kind is PolicyKind.TABULAR:
-            logits = self._table()[position, prev]
-        else:
-            by_column = self._weights().T
-            logits = by_column[position] + by_column[self.horizon + prev]
+        rows = self.logit_rows(self.params)
+        first, *rest = self.feature_rows(position, prev)
+        logits = rows[first]
+        for index in rest:
+            logits = logits + rows[index]
         return _softmax(logits / self.temperature)
 
     def _contexts(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions (H,) and previous tokens (K, H) of every step of a batch."""
         if batch.shape[1] > self.horizon:
-            # past the horizon a linear position index would read the
-            # previous-token columns, and a tabular one would run off the table
+            # past the horizon a linear position row would be a previous-token
+            # row, and a tabular row index would run off the logit rows
             raise ValueError(
                 f"sequence length {batch.shape[1]} exceeds the policy horizon {self.horizon}"
             )
@@ -122,14 +133,13 @@ class Policy:
         ``tokens`` is one sequence (the K=1 case) or a (K, H) batch and
         ``weights`` defaults to all ones. One ``step_probs_batch`` call
         covers every step of the batch, and one ``np.add.at`` scatter per
-        touched parameter block builds each sequence's gradient in its own
-        row. The weighted rows are then summed from zero in batch order, so
-        a batch gives bit for bit the in-order sum of its rows' K=1
-        gradients.
+        feature row builds each sequence's logit-row gradient in its own
+        slice. The weighted slices are then summed from zero in batch order
+        and written back through ``logit_rows``, so a batch gives bit for
+        bit the in-order sum of its rows' K=1 gradients.
         """
         batch = _as_batch(tokens)
         k = len(batch)
-        v, tabular = self.vocab_size, self.kind is PolicyKind.TABULAR
         w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
         if w.shape != (k,):
             raise ValueError(f"need one weight per sequence ({k}), got shape {w.shape}")
@@ -138,19 +148,13 @@ class Policy:
         # d log softmax(z / T)[y] / dz = (onehot(y) - probs) / T
         score = -self.step_probs_batch(positions, prev) / self.temperature
         score[seq, positions, batch] += 1.0 / self.temperature
-        # The parameter rows a step touches: tabular row (t, prev) of the
-        # (H * (V+1), V) table; linear columns t and H + prev of the
-        # (V, H+V+1) weight matrix, stored transposed.
-        if tabular:
-            touched = [positions * (v + 1) + prev]
-            per_seq = np.zeros((k, self.horizon * (v + 1), v))
-        else:
-            touched = [positions, self.horizon + prev]
-            per_seq = np.zeros((k, self.horizon + v + 1, v))
-        for rows in touched:
-            np.add.at(per_seq, (seq, rows), score)
-        total = np.add.reduce(w[:, None, None] * per_seq, axis=0, initial=0.0)
-        return total.ravel() if tabular else total.T.ravel()
+        grad = np.empty_like(self.params)
+        rows = self.logit_rows(grad)
+        per_seq = np.zeros((k, *rows.shape))
+        for index in self.feature_rows(positions, prev):
+            np.add.at(per_seq, (seq, index), score)
+        np.add.reduce(w[:, None, None] * per_seq, axis=0, initial=0.0, out=rows)
+        return grad
 
 
 def _as_batch(tokens) -> np.ndarray:

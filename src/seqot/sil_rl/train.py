@@ -16,18 +16,27 @@ trajectory identical to plain REINFORCE.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .buffer import BufferCriterion, ReplayBuffer, buffer_update
+from .buffer import ReplayBuffer, buffer_update
 from .config import BaselineMode, Schedule, SilConfig, SilVariant
 from .envs import ToyEnv
 from .gradients import elite_replay_grad, reinforce_grad, wsil_d_grad, wsil_i_grad
-from .policy import Policy, PolicyKind, Trajectory, greedy_decode, sample_trajectories
+from .policy import Policy, PolicyKind, greedy_decode, sample_trajectories
+
+
+class DivergedError(ValueError):
+    """A step's gradient norm or updated policy parameters are not finite."""
+
+    def __init__(self, step: int):
+        super().__init__(f"training diverged at step {step} (non-finite update); "
+                         "lower learning_rate or lambda_sil")
+        self.step = step
 
 
 @dataclass
@@ -70,55 +79,32 @@ def pretrain_mle(policy: Policy, env: ToyEnv, smoothing: float = 1.0) -> Policy:
     """Fit the policy to the environment's reference corpus by count
     normalization (additively smoothed); logits become log-frequencies.
 
-    The tabular kind fits every (position, previous-token) context; the
-    linear kind can only absorb a position-independent previous-token
-    model, so it receives the pooled first-order fit in its
-    previous-token block.
+    Each reference token is counted in the last logit row its context
+    sums: the tabular kind fits every (position, previous-token) context;
+    the linear kind gets the pooled first-order fit in its previous-token
+    rows, and its position rows stay zero.
     """
     refs = [ref for cond in env.references.values() for ref in cond]
     if not refs:
         raise ValueError("pretraining needs a nonempty reference corpus")
-    v, horizon, start = env.vocab_size, env.horizon, policy.start_index
-
-    if policy.kind is PolicyKind.TABULAR:
-        counts = np.full((horizon, v + 1, v), smoothing)
-        for ref in refs:
-            prev = start
-            for t, tok in enumerate(ref[:horizon]):
-                counts[t, prev, tok] += 1.0
-                prev = tok
-        probs = counts / counts.sum(axis=2, keepdims=True)
-        params = (policy.temperature * np.log(probs)).ravel()
-    else:
-        counts = np.full((v + 1, v), smoothing)
-        for ref in refs:
-            prev = start
-            for tok in ref[:horizon]:
-                counts[prev, tok] += 1.0
-                prev = tok
-        probs = counts / counts.sum(axis=1, keepdims=True)
-        weights = np.zeros((v, horizon + v + 1))
-        weights[:, horizon:] = policy.temperature * np.log(probs).T
-        params = weights.ravel()
-    return Policy(policy.kind, v, horizon, params, policy.temperature)
+    params = np.empty_like(policy.params)
+    rows = policy.logit_rows(params)
+    counts = np.full(rows.shape, smoothing)
+    for ref in refs:
+        prev = policy.start_index
+        for t, tok in enumerate(ref[:env.horizon]):
+            counts[policy.feature_rows(t, prev)[-1], tok] += 1.0
+            prev = tok
+    rows[...] = policy.temperature * np.log(counts / counts.sum(axis=1, keepdims=True))
+    if policy.kind is PolicyKind.LINEAR:
+        rows[:policy.horizon] = 0.0
+    return Policy(policy.kind, policy.vocab_size, policy.horizon, params, policy.temperature)
 
 
 def _default_capacity(config: SilConfig, env: ToyEnv) -> int:
     if config.buffer_capacity is not None:
         return config.buffer_capacity
     return 5 if env.conditional else 64
-
-
-def _batch_baseline(
-    trajs: Sequence[Trajectory],
-    config: SilConfig,
-    policy: Policy,
-    env: ToyEnv,
-    running: float,
-) -> float:
-    if config.baseline_mode is BaselineMode.GREEDY:
-        return greedy_decode(policy, env, trajs[0].condition).reward
-    return running
 
 
 def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=None) -> TrainResult:
@@ -128,7 +114,8 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
     min/max/size, gradient norm, wall time). Wall time is the only
     non-deterministic field; persisted logs drop it (see the CLI).
     ``on_step(step, kind, policy)``, if given, observes the policy right
-    after each update.
+    after each update. A step whose gradient norm or updated parameters are
+    not finite raises ``DivergedError`` naming the step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -152,7 +139,9 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
         rewards = np.array([t.reward for t in trajs])
         if step == 0 and config.baseline_mode is BaselineMode.CONSTANT:
             running_baseline = float(rewards.mean())
-        baseline = _batch_baseline(trajs, config, policy, env, running_baseline)
+        baseline = running_baseline
+        if config.baseline_mode is BaselineMode.GREEDY:
+            baseline = greedy_decode(policy, env, condition).reward
 
         buffer_update(buffer, trajs, config.buffer_criterion, env=env,
                       bleu_order=config.bleu_order, step=step)
@@ -170,7 +159,12 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
             grad = reinforce_grad(trajs, policy, baseline)
             rl_steps += 1
 
-        policy.params = policy.params + config.learning_rate * grad
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            grad_norm = float(np.linalg.norm(grad))
+            params = policy.params + config.learning_rate * grad
+        if not (math.isfinite(grad_norm) and np.isfinite(params).all()):
+            raise DivergedError(step)
+        policy.params = params
         decay = config.baseline_decay
         running_baseline = decay * running_baseline + (1.0 - decay) * float(rewards.mean())
         if on_step is not None:
@@ -185,7 +179,7 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
                 "buffer_min": buffer.min_reward(condition),
                 "buffer_max": buffer.max_reward(condition),
                 "buffer_size": len(buffer),
-                "grad_norm": float(np.linalg.norm(grad)),
+                "grad_norm": grad_norm,
                 "wall_time_ms": (time.perf_counter() - started) * 1000.0,
             }
         )

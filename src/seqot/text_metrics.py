@@ -16,7 +16,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .embeddings import DegenerateVectorError, EmbeddingTable, cosine_cost, resolve
+from .embeddings import EmbeddingTable, cosine_cost, resolve
 
 Sentence = Sequence[Hashable]
 
@@ -210,8 +210,4 @@ def naive_semantic_score(
     """Cosine similarity of the two sequences' unweighted mean embeddings."""
     if len(hyp) == 0 or len(ref) == 0:
         raise ValueError("both sequences must be nonempty")
-    mean_h = resolve(table, hyp).mean(axis=0)
-    mean_r = resolve(table, ref).mean(axis=0)
-    if np.linalg.norm(mean_h) == 0.0 or np.linalg.norm(mean_r) == 0.0:
-        raise DegenerateVectorError("mean embedding")
-    return 1.0 - cosine_cost(mean_h, mean_r)
+    return 1.0 - cosine_cost(resolve(table, hyp).mean(axis=0), resolve(table, ref).mean(axis=0))

@@ -377,6 +377,17 @@ pretrain = false
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lines", [
+        "lambda_sil = 1e300\nlearning_rate = 1e10",
+        "lambda_sil = 1e300",
+    ])
+    def test_divergent_training_exits_two(self, capsys, tmp_path, lines):
+        config = self.write_config(tmp_path, f"steps = 20\nvocab_size = 3\nhorizon = 2\n{lines}\n")
+        code, _, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "step" in err and "learning_rate" in err and "lambda_sil" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines", [
         "buffer_criterion = f1_bleu\nbleu_order = 3",
         "pretrain = true\npretrain_smoothing = 2.0",
         "baseline = constant\nbaseline_decay = 0.5",

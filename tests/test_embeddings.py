@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqot.embeddings import (
@@ -42,6 +42,11 @@ class TestLoad:
         with pytest.raises(ZeroVectorError) as err:
             load_embeddings(path)
         assert err.value.line == 2
+
+    def test_tiny_nonzero_vector_accepted(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 4\na 0 0 0 1e-200\n")
+        assert np.array_equal(load_embeddings(path).vector("a"), [0.0, 0.0, 0.0, 1e-200])
 
     def test_arity_mismatch_names_line_and_counts(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -206,3 +211,24 @@ class TestCostMatrix:
         ref = [vocab[i] for i in rng.integers(0, 6, rng.integers(1, 7))]
         cm = build_cost_matrix(table, hyp, ref)
         assert np.all(cm.values >= 0.0) and np.all(cm.values <= 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.floats(-5, 5), min_size=3, max_size=3), min_size=1, max_size=4),
+        st.lists(st.lists(st.floats(-5, 5), min_size=3, max_size=3), min_size=1, max_size=4),
+        st.floats(-200, 3),
+        st.floats(-200, 3),
+    )
+    def test_cells_equal_cosine_cost(self, hyp_rows, ref_rows, hyp_exponent, ref_exponent):
+        """Every real cell is ``cosine_cost`` of its two vectors, at any
+        scale from 1e-200 to 1e3: tiny entries neither underflow to a
+        shifted cost nor to a NaN. The matrix product and the vector dot
+        may round the last bit apart, hence the 1e-15."""
+        hyp = {f"h{i}": 10.0**hyp_exponent * np.asarray(v) for i, v in enumerate(hyp_rows)}
+        ref = {f"r{j}": 10.0**ref_exponent * np.asarray(v) for j, v in enumerate(ref_rows)}
+        assume(all(v.any() for v in [*hyp.values(), *ref.values()]))
+        table = EmbeddingTable(dim=3, entries={**hyp, **ref})
+        cm = build_cost_matrix(table, list(hyp), list(ref))
+        for i, zh in enumerate(hyp.values()):
+            for j, zr in enumerate(ref.values()):
+                assert cm.values[i, j] == pytest.approx(cosine_cost(zh, zr), rel=0, abs=1e-15)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqot.embeddings import build_cost_matrix
 from seqot.ot_core import (
+    EPSILON_FLOOR,
     IpotConfig,
     NonFiniteCostError,
     OracleTooLargeError,
@@ -39,11 +40,19 @@ class TestIpotExamples:
         with pytest.raises(NonFiniteCostError):
             ipot_solve(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
+    def test_negative_costs_match_assignment(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        cost = -200 * np.random.default_rng(5).uniform(0, 2, (5, 5))
+        plan = ipot_solve(cost)
+        rows, cols = optimize.linear_sum_assignment(cost)
+        assert plan.converged
+        assert plan.cost == pytest.approx(cost[rows, cols].mean(), abs=1e-6)
+
     def test_rectangular_marginals(self):
         rng = np.random.default_rng(0)
         plan = ipot_solve(rng.uniform(0, 2, (3, 5)))
-        assert plan.row_marginal == pytest.approx(1 / 3)
-        assert plan.col_marginal == pytest.approx(1 / 5)
+        assert plan.values.sum(axis=1) == pytest.approx(np.full(3, 1 / 3), abs=1e-6)
+        assert plan.values.sum(axis=0) == pytest.approx(np.full(5, 1 / 5), abs=1e-6)
         assert marginal_violation(plan) < 1e-5
 
     def test_config_validation(self):
@@ -91,14 +100,7 @@ class TestMarginalViolation:
         assert marginal_violation(plan) == 0.0
 
     def test_all_zero_plan(self):
-        plan = TransportPlan(
-            values=np.zeros((2, 2)),
-            row_marginal=0.5,
-            col_marginal=0.5,
-            cost=0.0,
-            converged=False,
-            iterations_used=0,
-        )
+        plan = TransportPlan(values=np.zeros((2, 2)), cost=0.0, converged=False, iterations_used=0)
         assert marginal_violation(plan) == 2.0
 
     def test_solver_plan_small_violation(self):
@@ -174,14 +176,14 @@ def every_iteration_ipot(cost, config=IpotConfig(), trace=None):
     n, m = c.shape
     sigma = np.full(m, 1.0 / m)
     plan = np.ones((n, m))
-    kernel = np.exp(-c / config.gamma)
+    kernel = np.exp((c.min(initial=0.0) - c) / config.gamma)
     violation = np.inf
     used = 0
     for it in range(1, config.outer_iters + 1):
         q = kernel * plan
         for _ in range(config.inner_sinkhorn_iters):
-            delta = 1.0 / np.maximum(n * (q @ sigma), config.epsilon_floor)
-            sigma = 1.0 / np.maximum(m * (q.T @ delta), config.epsilon_floor)
+            delta = 1.0 / np.maximum(n * (q @ sigma), EPSILON_FLOOR)
+            sigma = 1.0 / np.maximum(m * (q.T @ delta), EPSILON_FLOOR)
         new_plan = delta[:, None] * q * sigma[None, :]
         violation = marginal_violation(new_plan)
         step = float(np.abs(new_plan - plan).max())
@@ -193,8 +195,6 @@ def every_iteration_ipot(cost, config=IpotConfig(), trace=None):
             break
     return TransportPlan(
         values=plan,
-        row_marginal=1.0 / n,
-        col_marginal=1.0 / m,
         cost=float((plan * c).sum()),
         converged=violation <= config.feasibility_tol,
         iterations_used=used,
@@ -255,13 +255,13 @@ class TestStopTestMatchesEveryIterationCheck:
         # still moving at the cap: feasibility is checked only after the loop
         (np.random.default_rng(3).uniform(0, 2, (4, 4)), IpotConfig(outer_iters=5)),
     ]
-    # the kernel overflows and the plan turns NaN
-    NAN_PLAN = (-200 * np.random.default_rng(5).uniform(0, 2, (5, 5)), IpotConfig())
+    # costs far below zero, whose unshifted kernel would overflow
+    NEGATIVE = (-200 * np.random.default_rng(5).uniform(0, 2, (5, 5)), IpotConfig())
     # element 0 settles on step 7 while element 11 still moves, and
     # element 11 settles on step 16 while element 4 still moves
     WITNESS_SETTLES_FIRST = (np.random.default_rng(0).uniform(0, 2, (4, 4)), IpotConfig())
     EDGES = [
-        NAN_PLAN,
+        NEGATIVE,
         (np.random.default_rng(1).uniform(0, 2, (1, 1)), IpotConfig()),
         (np.random.default_rng(1).uniform(0, 2, (1, 9)), IpotConfig()),
         (np.random.default_rng(1).uniform(0, 2, (9, 1)), IpotConfig()),
@@ -297,9 +297,8 @@ class TestStopTestMatchesEveryIterationCheck:
             assert (plan.converged, plan.iterations_used) == (False, config.outer_iters)
 
     def test_edge_cases_reach_their_edges(self):
-        with np.errstate(all="ignore"):
-            nan_plan = ipot_solve(*self.NAN_PLAN)
-        assert np.isnan(nan_plan.values).all() and not nan_plan.converged
+        negative = ipot_solve(*self.NEGATIVE)
+        assert negative.converged and np.isfinite(negative.values).all()
         assert full_step_passes(*self.WITNESS_SETTLES_FIRST) == [7, 16, 17]
 
     @settings(max_examples=150, deadline=None)

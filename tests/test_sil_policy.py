@@ -45,6 +45,34 @@ class TestPolicyBasics:
         start = np.array([sharp.start_index])
         assert sharp.step_probs_batch(0, start)[0, 0] > soft.step_probs_batch(0, start)[0, 0]
 
+    def test_logit_rows_keep_the_stored_layout(self):
+        """Tabular rows are the (H, V+1, V) table in order; linear rows are
+        the columns of the (V, H+V+1) weight matrix, so snapshots load as
+        before. Both are views: writes reach ``params``."""
+        v, h = 3, 2
+        for policy, stored in (
+            (Policy.tabular(v, h), lambda p: p.reshape(h * (v + 1), v)),
+            (Policy.linear(v, h), lambda p: p.reshape(v, h + v + 1).T),
+        ):
+            policy.params = np.arange(policy.params.size, dtype=float)
+            rows = policy.logit_rows(policy.params)
+            assert np.array_equal(rows, stored(policy.params))
+            rows[1, 2] = -1.0
+            assert stored(policy.params)[1, 2] == -1.0
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_step_sums_the_feature_rows(self, kind):
+        policy = Policy.uniform(3, 2, kind=kind)
+        policy.params = np.random.default_rng(3).standard_normal(policy.params.shape)
+        rows = policy.logit_rows(policy.params)
+        for t in range(2):
+            for prev in range(4):
+                named = policy.feature_rows(t, prev)
+                assert len(named) == (1 if kind is PolicyKind.TABULAR else 2)
+                logits = rows[list(named)].sum(axis=0)
+                expected = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+                assert np.allclose(policy.step_probs_batch(t, np.array([prev]))[0], expected, atol=1e-15)
+
     @pytest.mark.parametrize("kind", list(PolicyKind))
     @pytest.mark.parametrize("method", ["log_prob", "step_logprobs", "grad_log_prob"])
     def test_sequences_past_the_horizon_rejected(self, kind, method):

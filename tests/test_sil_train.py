@@ -174,6 +174,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(env, Policy.tabular(4, 3), SilConfig(), 0)
 
+    def test_divergence_stops_at_its_step(self, env):
+        config = SilConfig(lambda_sil=1e300, schedule=Schedule(1.0, 1.0, 0), pretrain=False)
+        seen = []
+        with pytest.raises(train_module.DivergedError) as err:
+            train(env, Policy.tabular(4, 3), config, 10, on_step=lambda s, k, p: seen.append(s))
+        assert err.value.step == len(seen)
+        assert "learning_rate" in str(err.value) and "lambda_sil" in str(err.value)
+
 
 class TestEliteReplay:
     """A self-imitation step of the indirect variant also replays the

@@ -2,10 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqot.embeddings import DegenerateVectorError, EmbeddingTable
 from seqot.text_metrics import (
     BleuReport,
     EmptyCorpusError,
@@ -148,6 +150,15 @@ class TestNaiveScore:
 
     def test_single_orthogonal(self, ortho_table):
         assert naive_semantic_score(ortho_table, ["a"], ["b"]) == pytest.approx(0.0)
+
+    def test_zero_mean_embedding_degenerate(self):
+        table = EmbeddingTable(dim=2, entries={"a": np.array([1.0, 0.0]), "b": np.array([-1.0, 0.0])})
+        with pytest.raises(DegenerateVectorError):
+            naive_semantic_score(table, ["a", "b"], ["a"])
+
+    def test_tiny_mean_embedding_scores_its_direction(self):
+        table = EmbeddingTable(dim=2, entries={"a": np.array([1e-170, 0.0]), "b": np.array([3.0, 4.0])})
+        assert naive_semantic_score(table, ["a"], ["b"]) == pytest.approx(0.6, abs=1e-15)
 
     def test_synonym_swap_ranks_opposite_to_transport(self, toy_table):
         from seqot import score_pair
