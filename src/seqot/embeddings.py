@@ -4,7 +4,8 @@ Embedding files use the common plain-text layout: a header line ``V d``
 followed by one line per token, ``token x_1 ... x_d``. Parsing is
 locale-independent (ASCII whitespace, ``.`` decimal point). Each table also
 carries the pair-score memo that :func:`seqot.nested.score_matrices` fills;
-this module neither reads nor writes it.
+this module neither reads nor writes it. The unit rows that cost matrices
+are built from are cached per table, filled on a token's first use.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class DegenerateVectorError(EmbeddingError):
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Immutable token -> d-dimensional vector map, plus its pair-score memo.
+    """Immutable token -> d-dimensional vector map, plus its two caches.
 
     Invariants enforced at load time: every vector has length ``dim``, no
     vector is all-zeros, and :data:`PAD_TOKEN` is absent. The vectors never
@@ -100,15 +101,18 @@ class EmbeddingTable:
     config: ``pair_scores`` maps each ``IpotConfig`` to a dict of
     ``complex(distance, reward)`` per pair, filled by
     :func:`seqot.nested.score_matrices` and kept for as long as the instance
-    lives (one CLI command, or one training environment). Threads may share
-    an instance: two that miss on the same pair both solve it and store the
-    same floats.
+    lives (one CLI command, or one training environment). ``unit_rows``
+    maps each token :meth:`unit_row` has been asked for to its vector scaled
+    to unit length, so a table holds one extra row per token it has costed,
+    not per token it stores. Threads may share an instance: two that miss on
+    the same pair or token both compute it and store the same floats.
     """
 
     dim: int
     entries: dict[str, np.ndarray]
     oov_policy: OovPolicy = OovPolicy.STRICT
     pair_scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    unit_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -130,6 +134,13 @@ class EmbeddingTable:
         if self.oov_policy is OovPolicy.HASH_FALLBACK:
             return _hash_fallback_vector(token, self.dim)
         raise UnknownTokenError(token)
+
+    def unit_row(self, token: str) -> np.ndarray:
+        """``vector(token)`` scaled to unit length, computed on first use."""
+        row = self.unit_rows.get(token)
+        if row is None:
+            row = self.unit_rows[token] = _unit_rows(self.vector(token))
+        return row
 
 
 def _hash_fallback_vector(token: str, dim: int) -> np.ndarray:
@@ -253,9 +264,12 @@ def build_cost_matrix(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[s
     n, m = len(hyp), len(ref)
     size = max(n, m)
 
-    units = _unit_rows(resolve(table, [*hyp, *ref]))
+    tokens = [*hyp, *ref]
+    units = np.array([table.unit_row(t) for t in tokens])
     values = np.full((size, size), PAD_REAL_COST)
-    values[:n, :m] = np.clip(1.0 - units[:n] @ units[n:].T, 0.0, 2.0)
-    same = np.array([[h == r for r in ref] for h in hyp])
-    values[:n, :m][same] = 0.0
+    real = values[:n, :m]
+    np.clip(1.0 - units[:n] @ units[n:].T, 0.0, 2.0, out=real)
+    # an object array compares with str ==: equal tokens, not equal vectors
+    names = np.array(tokens, dtype=object)
+    real[names[:n, None] == names[n:]] = 0.0
     return CostMatrix(values=values)

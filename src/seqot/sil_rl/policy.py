@@ -177,6 +177,15 @@ class Trajectory:
     reward: float
 
 
+def _step_table(policy: Policy, env: ToyEnv) -> np.ndarray:
+    """Next-token distributions of every (position, previous token) context
+    over ``env``'s horizon, shaped (H, V+1, V), from one ``step_probs_batch``
+    call; row ``[t, prev]`` equals ``step_probs_batch(t, prev)`` bit for bit."""
+    if env.horizon > policy.horizon:
+        raise ValueError(f"env horizon {env.horizon} exceeds the policy horizon {policy.horizon}")
+    return policy.step_probs_batch(np.arange(env.horizon)[:, None], np.arange(policy.vocab_size + 1))
+
+
 def sample_trajectories(
     policy: Policy,
     env: ToyEnv,
@@ -187,52 +196,40 @@ def sample_trajectories(
 
     In conditional environments one condition id is drawn per call and
     shared by the whole batch (matching the per-condition batching of the
-    training loop).
+    training loop). Each step looks its rows up in one CDF table built per
+    call, which costs H * (V+1) * V floats.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    cdf = _step_table(policy, env).cumsum(axis=-1)
+    # the sum may round below 1, so a draw past every entry takes the last token
+    cdf[..., -1] = np.inf
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     condition = None
     if env.conditional:
         ids = env.condition_ids()
         condition = ids[int(gen.integers(0, len(ids)))]
 
-    tokens = np.empty((count, env.horizon), dtype=int)
-    prev = np.full(count, policy.start_index)
+    # one call draws the same stream as one gen.random(count) per step
+    draws = gen.random((env.horizon, count, 1))
+    steps = []
+    prev = policy.start_index
     for t in range(env.horizon):
-        probs = policy.step_probs_batch(t, prev)
-        draws = gen.random(count)
-        cdf = probs.cumsum(axis=1)
-        chosen = (cdf > draws[:, None]).argmax(axis=1)
-        chosen[cdf[:, -1] <= draws] = env.vocab_size - 1  # cdf[-1] may round below 1
-        tokens[:, t] = chosen
-        prev = chosen
-
-    out = []
-    for i in range(count):
-        seq = tuple(int(x) for x in tokens[i])
-        out.append(
-            Trajectory(
-                condition=condition,
-                tokens=seq,
-                reward=env.reward(seq, condition),
-            )
-        )
-    return out
+        prev = (cdf[t, prev] > draws[t]).argmax(axis=1)
+        steps.append(prev.tolist())
+    return [Trajectory(condition, seq, env.reward(seq, condition)) for seq in zip(*steps)]
 
 
 def greedy_decode(policy: Policy, env: ToyEnv, condition: int | None = None) -> Trajectory:
     """Argmax decode; exact logit ties resolve to the lowest token id."""
+    probs = _step_table(policy, env)
     tokens = []
-    prev = np.array([policy.start_index])
+    prev = policy.start_index
     for t in range(env.horizon):
-        probs = policy.step_probs_batch(t, prev)[0]
-        tok = int(np.argmax(probs))
-        tokens.append(tok)
-        prev = np.array([tok])
+        prev = int(probs[t, prev].argmax())
+        tokens.append(prev)
     return Trajectory(
         condition=condition,
         tokens=tuple(tokens),
         reward=env.reward(tokens, condition),
     )
-

@@ -1,0 +1,40 @@
+"""The pair summary of ``scripts/bench.py``: quartiles, pairs won and the
+claim rule (nine tenths of the pairs, and a median gap past the parent's
+interquartile range)."""
+
+import importlib.util
+from pathlib import Path
+
+
+SPEC = importlib.util.spec_from_file_location("bench", Path(__file__).resolve().parent.parent / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench)
+
+
+def pairs(parent, change):
+    return [{"seed": i, "first": "parent" if i % 2 == 0 else "change", "parent": p, "change": c}
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_seed_ranges_and_lists():
+    assert bench.parse_seeds("30-32,7") == [30, 31, 32, 7]
+    assert bench.parse_seeds("4") == [4]
+
+
+def test_wins_follow_the_better_direction_and_ties_count_for_neither():
+    runs = pairs([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 4.0, 3.0])
+    higher = bench.summarize("higher", runs)
+    assert higher["change_better_pairs"] == 2
+    assert bench.summarize("lower", runs)["change_better_pairs"] == 1
+    assert higher["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert higher["change"]["median"] == 2.5 and higher["median_ratio"] == 1.0
+    assert higher["pairs"] == 4 and higher["runs"] == runs
+
+
+def test_claim_needs_nine_tenths_and_a_gap_past_the_parent_iqr():
+    parent = [100.0 + i for i in range(10)]  # IQR 4.5
+    assert bench.claim_met(bench.summarize("higher", pairs(parent, [p + 20 for p in parent])))
+    eight = [p + 20 for p in parent[:8]] + [p - 1 for p in parent[8:]]
+    assert not bench.claim_met(bench.summarize("higher", pairs(parent, eight)))
+    assert not bench.claim_met(bench.summarize("higher", pairs(parent, [p + 1 for p in parent])))
+    assert bench.claim_met(bench.summarize("lower", pairs(parent, [p - 20 for p in parent])))

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqot.embeddings import (
+    PAD_REAL_COST,
     PAD_TOKEN,
     ArityMismatchError,
     DegenerateVectorError,
@@ -18,6 +19,7 @@ from seqot.embeddings import (
     UnknownTokenError,
     UnreadableFileError,
     ZeroVectorError,
+    _unit_rows,
     build_cost_matrix,
     cosine_cost,
     load_embeddings,
@@ -25,6 +27,22 @@ from seqot.embeddings import (
 )
 
 from conftest import write_embeddings
+
+
+def per_call_cost_matrix(table, hyp, ref):
+    """The build before the unit-row cache: resolve and normalise every token
+    on each call, and mask equal tokens with a Python double loop. The
+    cached build must match it bit for bit."""
+    if len(hyp) == 0 or len(ref) == 0:
+        raise ValueError("both sequences must be nonempty")
+    n, m = len(hyp), len(ref)
+    size = max(n, m)
+    units = _unit_rows(resolve(table, [*hyp, *ref]))
+    values = np.full((size, size), PAD_REAL_COST)
+    values[:n, :m] = np.clip(1.0 - units[:n] @ units[n:].T, 0.0, 2.0)
+    same = np.array([[h == r for r in ref] for h in hyp])
+    values[:n, :m][same] = 0.0
+    return values
 
 
 class TestLoad:
@@ -232,3 +250,55 @@ class TestCostMatrix:
         for i, zh in enumerate(hyp.values()):
             for j, zr in enumerate(ref.values()):
                 assert cm.values[i, j] == pytest.approx(cosine_cost(zh, zr), rel=0, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.floats(-5, 5), min_size=3, max_size=3), st.floats(-200, 3)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.booleans(),
+        st.lists(st.integers(0, 7), min_size=1, max_size=6),
+        st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    )
+    def test_matches_the_per_call_build(self, rows, hashed, hyp_ids, ref_ids):
+        """Strict and hash-OOV tables, repeated tokens, pads on either side and
+        vector scales from 1e-200 to 1e3: the cached build equals the per-call
+        one with ``array_equal``, on a cold cache and on a warm one. The
+        OOV tokens include one that differs from another only by a trailing
+        NUL, which fixed-width numpy strings would drop."""
+        entries = {f"t{i}": 10.0**exponent * np.asarray(v) for i, (v, exponent) in enumerate(rows)}
+        assume(all(v.any() for v in entries.values()))
+        policy = OovPolicy.HASH_FALLBACK if hashed else OovPolicy.STRICT
+        table = EmbeddingTable(dim=3, entries=entries, oov_policy=policy)
+        pool = [*entries, *(["x", "x\0", "y"] if hashed else [])]
+        hyp = [pool[i % len(pool)] for i in hyp_ids]
+        ref = [pool[i % len(pool)] for i in ref_ids]
+        expected = per_call_cost_matrix(table, hyp, ref)
+        assert np.array_equal(build_cost_matrix(table, hyp, ref).values, expected)
+        assert np.array_equal(build_cost_matrix(table, hyp, ref).values, expected)
+
+    def test_oov_tokens_stay_distinct_by_token(self, tmp_path):
+        path = write_embeddings(tmp_path / "e.txt", 4, {"a": [1, 0, 0, 0]})
+        table = load_embeddings(path, OovPolicy.HASH_FALLBACK)
+        oov = ["zeta", "eta", "theta", "eta\0"]
+        cm = build_cost_matrix(table, oov, oov)
+        off_diagonal = ~np.eye(len(oov), dtype=bool)
+        assert np.all(cm.values[off_diagonal] > 0.0)
+        assert np.array_equal(np.diag(cm.values), np.zeros(len(oov)))
+
+    def test_unit_rows_fill_lazily_and_stay_invisible(self, ortho_table):
+        table = EmbeddingTable(dim=ortho_table.dim, entries=ortho_table.entries)
+        twin = EmbeddingTable(dim=ortho_table.dim, entries=ortho_table.entries)
+        before = repr(table)
+        build_cost_matrix(table, ["a", "b"], ["a"])
+        assert set(table.unit_rows) == {"a", "b"}
+        assert table == twin and repr(table) == before == repr(twin)
+
+    def test_pad_token_still_rejected(self, ortho_table):
+        table = EmbeddingTable(dim=ortho_table.dim, entries=ortho_table.entries)
+        for hyp, ref in (([PAD_TOKEN], ["a"]), (["a"], ["b", PAD_TOKEN])):
+            with pytest.raises(ReservedTokenError):
+                build_cost_matrix(table, hyp, ref)
+        assert PAD_TOKEN not in table.unit_rows

@@ -6,9 +6,59 @@ from seqot.sil_rl import (
     Policy,
     PolicyKind,
     ToyEnv,
+    Trajectory,
     greedy_decode,
     sample_trajectories,
 )
+
+
+def per_step_sample(policy, env, count, rng):
+    """The sampler before the one-table version: a ``step_probs_batch``
+    softmax and a cumulative sum at every step. The table sampler must draw
+    the same trajectories from the same generator state."""
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    condition = None
+    if env.conditional:
+        ids = env.condition_ids()
+        condition = ids[int(gen.integers(0, len(ids)))]
+    tokens = np.empty((count, env.horizon), dtype=int)
+    prev = np.full(count, policy.start_index)
+    for t in range(env.horizon):
+        probs = policy.step_probs_batch(t, prev)
+        draws = gen.random(count)
+        cdf = probs.cumsum(axis=1)
+        chosen = (cdf > draws[:, None]).argmax(axis=1)
+        chosen[cdf[:, -1] <= draws] = env.vocab_size - 1
+        tokens[:, t] = chosen
+        prev = chosen
+    seqs = [tuple(int(x) for x in row) for row in tokens]
+    return [Trajectory(condition, seq, env.reward(seq, condition)) for seq in seqs]
+
+
+def per_step_greedy(policy, env, condition=None):
+    tokens = []
+    prev = np.array([policy.start_index])
+    for t in range(env.horizon):
+        tok = int(np.argmax(policy.step_probs_batch(t, prev)[0]))
+        tokens.append(tok)
+        prev = np.array([tok])
+    return Trajectory(condition, tuple(tokens), env.reward(tokens, condition))
+
+
+def random_policy(kind, vocab_size, horizon, temperature=1.0, seed=5):
+    policy = Policy.uniform(vocab_size, horizon, temperature, kind)
+    policy.params = 3.0 * np.random.default_rng(seed).standard_normal(policy.params.shape)
+    return policy
+
+
+def top_draw_first() -> np.random.Generator:
+    """A generator whose first ``random()`` is 1 - 2**-53, the largest draw:
+    SFC64 outputs a + b + counter, here 2**64 - 1."""
+    bits = np.random.SFC64()
+    state = bits.state
+    state["state"]["state"] = np.array([2**64 - 1, 0, 0, 0], dtype=np.uint64)
+    bits.state = state
+    return np.random.Generator(bits)
 
 
 @pytest.fixture
@@ -206,8 +256,54 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_trajectories(Policy.tabular(3, 2), small_env, 0, 1)
 
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("temperature", [1.0, 0.35])
+    @pytest.mark.parametrize("conditional", [False, True], ids=["markov", "conditional"])
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_matches_the_per_step_sampler(self, kind, temperature, conditional, count):
+        env = ToyEnv.overlap(4, 3, seed=2, conditions=3) if conditional else ToyEnv.markov(4, 3, seed=2)
+        policy = random_policy(kind, 4, 3, temperature)
+        for seed in range(6):
+            got = sample_trajectories(policy, env, count, seed)
+            assert got == per_step_sample(policy, env, count, seed)
+        assert {t.condition is None for t in got} == {not conditional}
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_env_shorter_than_the_policy_matches(self, kind):
+        env = ToyEnv.markov(4, 2, seed=1)
+        policy = random_policy(kind, 4, 5)
+        assert sample_trajectories(policy, env, 7, 3) == per_step_sample(policy, env, 7, 3)
+        assert greedy_decode(policy, env) == per_step_greedy(policy, env)
+
+    def test_cdf_rounding_below_one_takes_the_last_token(self):
+        """Ten uniform probabilities of 0.1 sum to 1 - 2**-53, so the largest
+        draw passes every CDF entry and the fix-up picks the last token."""
+        env = ToyEnv.markov(10, 2, seed=0)
+        policy = Policy.tabular(10, 2)
+        assert np.cumsum(policy.step_probs_batch(0, np.array([10]))[0])[-1] < 1.0
+        assert top_draw_first().random() == 1.0 - 2.0**-53
+        got = sample_trajectories(policy, env, 3, top_draw_first())
+        assert got == per_step_sample(policy, env, 3, top_draw_first())
+        assert got[0].tokens[0] == 9
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("decode", [lambda p, e: sample_trajectories(p, e, 2, 0), greedy_decode],
+                             ids=["sample", "greedy"])
+    def test_env_past_the_policy_horizon_rejected(self, kind, decode):
+        policy = Policy.uniform(3, 2, kind=kind)
+        with pytest.raises(ValueError, match="env horizon 3 exceeds the policy horizon 2"):
+            decode(policy, ToyEnv.markov(3, 3, seed=0))
+
 
 class TestGreedy:
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("temperature", [1.0, 0.35])
+    def test_matches_the_per_step_decode(self, kind, temperature):
+        env = ToyEnv.overlap(4, 3, seed=2, conditions=3)
+        for seed in range(6):
+            policy = random_policy(kind, 4, 3, temperature, seed)
+            assert greedy_decode(policy, env, 1) == per_step_greedy(policy, env, 1)
+
     def test_tie_break_lowest_token_id(self, small_env):
         policy = Policy.tabular(3, 2)  # all logits tied
         assert greedy_decode(policy, small_env).tokens == (0, 0)
