@@ -11,15 +11,16 @@ is a copy of the working tree's files that git tracks or would track, so a
 change can be measured before it is committed. For each workload and seed
 the script runs ``perfbench/run.py --trace 0`` once on each side, parent
 first on even seeds, and keeps the end-to-end metrics ``BENCHMARK.json``
-lists. Each side's median and quartiles, the pairs the change won (ties
-count for neither) and every run go to the output file. With
+lists, for every workload it lists and at the run length it sets
+(``run_seconds``). Each side's median and quartiles, the pairs the change
+won (ties count for neither) and every run go to the output file. With
 ``--trace-seed`` it also runs one traced round per side and workload and
 keeps the per-layer metrics.
 
 A claimed metric is met when the change wins at least nine tenths of the
 pairs and its median is better than the parent's by more than the parent's
-interquartile range. Runs take about ``--seconds`` plus a few seconds each,
-one at a time.
+interquartile range. Runs take about ``run_seconds`` plus a few seconds
+each, one at a time.
 """
 
 from __future__ import annotations
@@ -153,15 +154,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, help="writes BENCH_<pr>.json at the repository root")
     parser.add_argument("--seeds", required=True, help="workload seeds, e.g. 30-39")
     parser.add_argument("--change", required=True, help="one line on what the change does")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: those BENCHMARK.json lists")
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
     parser.add_argument("--trace-seed", type=int, default=None, help="also trace one round per side")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in declared["workloads"]]
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
     seeds = parse_seeds(args.seeds)
     parent_rev = git("rev-parse", "--short", args.parent).decode().strip()
 
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     report = {
         "change": args.change,
         "parent": parent_rev,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "protocol": (
             f"{len(seeds)} parent/change pairs per workload, seeds {args.seeds}, alternating which side "
             "runs first (parent first on even seeds); parent from a fresh git archive checkout, change "
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
         checkout_parent(args.parent, sides["parent"])
         copy_change(sides["change"])
         for workload in workloads:
-            report["workloads"][workload] = bench_workload(sides, workload, seeds, args.seconds, metrics)
+            report["workloads"][workload] = bench_workload(sides, workload, seeds, seconds, metrics)
         if args.trace_seed is not None:
             traced = {"command": f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
                                  "--seconds 1 --trace 1"}

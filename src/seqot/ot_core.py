@@ -141,26 +141,21 @@ def ipot_solve(
     delta_col = delta[:, None]
     sigma = np.full(m, 1.0 / m)
 
-    # Per-call overhead dominates here: the loop's ufuncs and dot methods are
-    # bound once, and multiply and reciprocal take ``out`` by position, which
-    # costs less than the keyword (np.maximum deprecates a positional out).
-    multiply, maximum, reciprocal = np.multiply, np.maximum, np.reciprocal
-    q_dot, q_t_dot = q.dot, q_t.dot
     witness = 0
     violation = None
     for it in range(1, config.outer_iters + 1):
-        multiply(kernel, plan, q)
+        np.multiply(kernel, plan, out=q)
         for _ in range(config.inner_sinkhorn_iters):
-            q_dot(sigma, out=delta)
-            multiply(row_count, delta, delta)
-            maximum(delta, floor, out=delta)
-            reciprocal(delta, delta)
-            q_t_dot(delta, out=sigma)
-            multiply(col_count, sigma, sigma)
-            maximum(sigma, floor, out=sigma)
-            reciprocal(sigma, sigma)
-        multiply(delta_col, q, new_plan)
-        multiply(new_plan, sigma, new_plan)
+            q.dot(sigma, out=delta)
+            np.multiply(row_count, delta, out=delta)
+            np.maximum(delta, floor, out=delta)
+            np.reciprocal(delta, out=delta)
+            q_t.dot(delta, out=sigma)
+            np.multiply(col_count, sigma, out=sigma)
+            np.maximum(sigma, floor, out=sigma)
+            np.reciprocal(sigma, out=sigma)
+        np.multiply(delta_col, q, out=new_plan)
+        np.multiply(new_plan, sigma, out=new_plan)
         if abs(new_plan.item(witness) - plan.item(witness)) > tol:
             stationary = False
         else:
