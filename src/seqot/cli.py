@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -64,11 +63,11 @@ def _load_table(args) -> "EmbeddingTable":
 
 
 def _ot_config(args) -> IpotConfig:
-    if not 0 < args.gamma < math.inf:
-        raise UsageError(f"--gamma must be finite and positive, got {args.gamma}")
-    if args.outer_iters < 1:
-        raise UsageError(f"--outer-iters must be >= 1, got {args.outer_iters}")
-    return IpotConfig(gamma=args.gamma, outer_iters=args.outer_iters)
+    try:
+        return IpotConfig(gamma=args.gamma, outer_iters=args.outer_iters)
+    except ValueError as exc:  # it names the argument at fault first; report the flag
+        name = str(exc).split(" ", 1)[0]
+        raise UsageError(str(exc).replace(name, "--" + name.replace("_", "-"), 1)) from exc
 
 
 def _emit(args, payload: dict, table_text: str | None = None) -> None:

@@ -74,8 +74,8 @@ def score_matrices(
     distance and reward of every (hypothesis, reference) pair.
 
     Each pair is solved at most once per table and solver config: on a miss
-    ``score_pair`` runs and only its two floats are kept in
-    ``table.pair_scores``, never the plan. The key is the flat tuple
+    ``score_pair`` runs and its two floats are kept in
+    ``table.pair_scores``. The key is the flat tuple
     ``(len(hyp), *hyp, *ref)``: the length fixes where ``hyp`` ends, so no
     two distinct pairs share a key. A failed pair raises
     :class:`NestedSolveError` ``("inner", i, j)`` chained from the cause.

@@ -49,13 +49,13 @@ class IpotConfig:
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be finite and positive")
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.outer_iters < 1:
-            raise ValueError("outer_iters must be >= 1")
+            raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
         if self.inner_sinkhorn_iters < 1:
-            raise ValueError("inner_sinkhorn_iters must be >= 1")
+            raise ValueError(f"inner_sinkhorn_iters must be >= 1, got {self.inner_sinkhorn_iters}")
         if not 0 < self.feasibility_tol < math.inf:
-            raise ValueError("feasibility_tol must be finite and positive")
+            raise ValueError(f"feasibility_tol must be finite and positive, got {self.feasibility_tol}")
 
 
 DEFAULT_IPOT = IpotConfig()
@@ -90,18 +90,12 @@ def marginal_violation(plan: TransportPlan | np.ndarray) -> float:
     return float(rows + cols)
 
 
-def ipot_solve(
-    cost: np.ndarray,
-    config: IpotConfig = DEFAULT_IPOT,
-    trace: list | None = None,
-) -> TransportPlan:
+def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> TransportPlan:
     """Solve uniform-marginal OT on ``cost`` by proximal-point iteration.
 
     Each outer step forms ``Q = exp(-C/gamma) * T`` and re-balances it with
     ``inner_sinkhorn_iters`` row/column scalings; the rebalanced plan
-    becomes the next proximal center. If ``trace`` is a list, one
-    ``(iteration, marginal_violation, cost)`` tuple is appended per outer
-    step.
+    becomes the next proximal center.
 
     The loop runs in place: each solve allocates its work arrays once,
     every step writes into them, and the current and next plan swap
@@ -110,13 +104,12 @@ def ipot_solve(
 
     The stop test reads the stationarity step ``max|T_new - T|`` before the
     marginal violation, which is evaluated only on iterations whose step is
-    within ``feasibility_tol`` (or on every iteration when tracing), and
-    once after the loop if the last iteration skipped it. The full step
-    pass is skipped while one witness element (the argmax of the last full
-    pass, element 0 before the first) still moves by more than
-    ``feasibility_tol``, since the maximum then does too. The stop rule,
-    the plan and ``converged`` are the same as evaluating both tests in
-    full on every iteration.
+    within ``feasibility_tol``, and once after the loop if the last
+    iteration skipped it. The full step pass is skipped while one witness
+    element (the argmax of the last full pass, element 0 before the first)
+    still moves by more than ``feasibility_tol``, since the maximum then
+    does too. The stop rule, the plan and ``converged`` are the same as
+    evaluating both tests in full on every iteration.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.size == 0:
@@ -163,9 +156,7 @@ def ipot_solve(
             np.abs(diff, out=diff)
             witness = diff.argmax()
             stationary = diff.item(witness) <= tol
-        violation = marginal_violation(new_plan) if stationary or trace is not None else None
-        if trace is not None:
-            trace.append((it, violation, float(np.multiply(new_plan, c, out=diff).sum())))
+        violation = marginal_violation(new_plan) if stationary else None
         plan, new_plan = new_plan, plan
         if stationary and violation <= tol:
             break

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .embeddings import EmbeddingTable, build_cost_matrix
-from .ot_core import DEFAULT_IPOT, IpotConfig, TransportPlan, ipot_solve
+from .ot_core import DEFAULT_IPOT, IpotConfig, ipot_solve
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class PairScore:
 
     distance: float
     reward: float
-    plan: TransportPlan
 
 
 def score_pair(
@@ -35,5 +34,5 @@ def score_pair(
     cm = build_cost_matrix(table, hyp, ref)
     plan = ipot_solve(cm.values, config)
     reward = float((plan.values * (1.0 - cm.values)).sum())
-    return PairScore(distance=plan.cost, reward=reward, plan=plan)
+    return PairScore(distance=plan.cost, reward=reward)
 

@@ -200,6 +200,8 @@ class ToyEnv:
             raise ValueError("seed must be >= 0")
         if reference_count < 1:
             raise ValueError("reference_count must be >= 1 for transport rewards")
+        if conditions < 0:
+            raise ValueError("conditions must be >= 0")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         kind = RewardKind.CONDITIONAL if conditions > 0 else RewardKind.TARGET_OVERLAP
         groups = range(conditions) if conditions > 0 else [None]

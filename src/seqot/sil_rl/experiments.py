@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import Schedule, SilConfig, SilVariant, ZERO_SCHEDULE
 from .envs import RewardKind, ToyEnv
-from .policy import Policy, sample_trajectories  # noqa: F401  (perfbench's tracer patches this binding)
+from .policy import Policy, _step_table, sample_trajectories  # noqa: F401  (perfbench's tracer patches this binding)
 from .train import train
 
 # Tuned so the imitation terms are commensurate with the advantage scale of
@@ -40,19 +40,16 @@ def final_policy_reward(policy: Policy, env: ToyEnv) -> float:
 
     The reward is a sum of per-step oracle log-probabilities, so its
     expectation needs only the marginal of the previous token at each
-    position, which a forward pass carries along in O(H * V^2). Built on
-    ``step_probs_batch``, so it serves both policy kinds.
+    position, which a forward pass carries along in O(H * V^2). It reads
+    the step table sampling uses, with its checks, for both policy kinds.
     """
     if env.reward_fn is not RewardKind.ORACLE_LOGPROB:
         raise ValueError("exact scoring needs a Markov-chain (oracle_logprob) environment")
-    oracle = env.oracle
-    first = policy.step_probs_batch(0, np.array([policy.start_index]))[0]
-    total = float(first @ np.log(oracle.initial))
-    marginal = first
-    log_transition = np.log(oracle.transition)
-    every_prev = np.arange(env.vocab_size)
-    for t in range(1, env.horizon):
-        probs = policy.step_probs_batch(t, every_prev)  # row = previous token
+    table = _step_table(policy, env)
+    marginal = table[0, policy.start_index]
+    total = float(marginal @ np.log(env.oracle.initial))
+    log_transition = np.log(env.oracle.transition)
+    for probs in table[1:, : env.vocab_size]:  # row = previous token
         total += float(marginal @ (probs * log_transition).sum(axis=1))
         marginal = marginal @ probs
     return total

@@ -49,33 +49,22 @@ def reinforce_grad(trajs: Sequence[Trajectory], policy: Policy, baseline: float)
     return policy.grad_log_prob(_tokens(trajs), advantages) / len(trajs)
 
 
-def _words(tokens: Sequence[int]) -> list[str]:
-    return [str(t) for t in tokens]
-
-
-def _pair_weights_and_rewards(
-    trajs: Sequence[Trajectory],
-    buffer_sample: Sequence[BufferEntry],
+def _match(
+    hyps: Sequence[Sequence[int]],
+    refs: Sequence[Sequence[int]],
     table: EmbeddingTable,
     config: SilConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Outer coupling weights and pairwise similarity matrix (K x K')."""
-    k, k_prime = len(trajs), len(buffer_sample)
-    if config.variant is SilVariant.SIL_I_NOW:
-        weights = np.full((k, k_prime), 1.0 / (k * k_prime))
-        rewards = np.array(
-            [
-                [naive_semantic_score(table, _words(t.tokens), _words(e.tokens)) for e in buffer_sample]
-                for t in trajs
-            ]
-        )
+    """Outer coupling weights and pairwise similarities (K x K') of two
+    token-sequence sets: the nested transport solve, or for either ``_now``
+    ablation uniform weights over mean-embedding similarities."""
+    hyp_words = [[str(t) for t in h] for h in hyps]
+    ref_words = [[str(t) for t in r] for r in refs]
+    if config.variant in (SilVariant.SIL_I_NOW, SilVariant.SIL_D_NOW):
+        weights = np.full((len(hyps), len(refs)), 1.0 / (len(hyps) * len(refs)))
+        rewards = np.array([[naive_semantic_score(table, h, r) for r in ref_words] for h in hyp_words])
         return weights, rewards
-    result = nested_wasserstein(
-        table,
-        [_words(t.tokens) for t in trajs],
-        [_words(e.tokens) for e in buffer_sample],
-        config.ot,
-    )
+    result = nested_wasserstein(table, hyp_words, ref_words, config.ot)
     return result.outer_plan.values, result.seq_reward_matrix
 
 
@@ -109,7 +98,7 @@ def wsil_i_grad(
     if not gate.any():
         return rl
 
-    weights, rewards = _pair_weights_and_rewards(trajs, buffer_sample, table, config)
+    weights, rewards = _match(_tokens(trajs), _tokens(buffer_sample), table, config)
     coef = config.lambda_sil * (weights * rewards * gate).sum(axis=1)
     return rl + policy.grad_log_prob(_tokens(trajs), coef) / len(trajs)
 
@@ -165,21 +154,11 @@ def wsil_d_grad(
     if config.lambda_sil == 0.0:
         return np.zeros_like(policy.params)
 
+    weights, rewards = _match(_tokens(buffer_sample), refs, table, config)
     if config.variant is SilVariant.SIL_D_NOW:
-        scores = np.array(
-            [
-                np.mean([naive_semantic_score(table, _words(e.tokens), _words(r)) for r in refs])
-                for e in buffer_sample
-            ]
-        )
+        scores = rewards.mean(axis=1)
     else:
-        result = nested_wasserstein(
-            table,
-            [_words(e.tokens) for e in buffer_sample],
-            [_words(r) for r in refs],
-            config.ot,
-        )
-        scores = result.per_hyp_reward
+        scores = (weights * rewards).sum(axis=1)
 
     advantages = np.maximum(scores - scores.mean(), 0.0)
     return config.lambda_sil * policy.grad_log_prob(_tokens(buffer_sample), advantages)

@@ -183,6 +183,8 @@ def _step_table(policy: Policy, env: ToyEnv) -> np.ndarray:
     call; row ``[t, prev]`` equals ``step_probs_batch(t, prev)`` bit for bit."""
     if env.horizon > policy.horizon:
         raise ValueError(f"env horizon {env.horizon} exceeds the policy horizon {policy.horizon}")
+    if env.vocab_size != policy.vocab_size:
+        raise ValueError(f"env vocab size {env.vocab_size} differs from the policy vocab size {policy.vocab_size}")
     return policy.step_probs_batch(np.arange(env.horizon)[:, None], np.arange(policy.vocab_size + 1))
 
 

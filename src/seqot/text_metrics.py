@@ -48,6 +48,16 @@ def _closest_ref_len(hyp_len: int, ref_lens: Sequence[int]) -> int:
     return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
 
 
+def _bleu(precisions: Sequence[tuple[int, int]], hyp_len: int, ref_len: int, order: int) -> float:
+    """Unsmoothed BLEU from per-order ``(matched, total)`` n-gram counts:
+    brevity penalty times the geometric mean precision; 0 if any count is 0."""
+    if hyp_len == 0 or any(m == 0 or t == 0 for m, t in precisions):
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in precisions) / order
+    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return brevity * math.exp(log_precision)
+
+
 def corpus_bleu(hyps: Sequence[Sentence], refs: Sequence[Sentence], order: int) -> float:
     """Corpus BLEU of ``hyps`` with every sentence of ``refs`` as a reference.
 
@@ -84,11 +94,7 @@ def corpus_bleu(hyps: Sequence[Sentence], refs: Sequence[Sentence], order: int) 
             matched[k - 1] += sum(min(c, table.get(g, 0)) for g, c in counts.items())
             total[k - 1] += max(len(hyp) - k + 1, 0)
 
-    if hyp_len_sum == 0 or any(m == 0 or t == 0 for m, t in zip(matched, total)):
-        return 0.0
-    log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / order
-    brevity = 1.0 if hyp_len_sum > ref_len_sum else math.exp(1.0 - ref_len_sum / hyp_len_sum)
-    return brevity * math.exp(log_precision)
+    return _bleu(list(zip(matched, total)), hyp_len_sum, ref_len_sum, order)
 
 
 def self_bleu(
@@ -99,12 +105,14 @@ def self_bleu(
 ) -> float:
     """Mean leave-one-out BLEU: each sentence scored against all the others.
 
-    Corpora larger than ``cap`` are reduced to a fixed-seed uniform
-    subsample before the leave-one-out loop.
+    Corpora larger than ``cap`` (at least 2) are reduced to a fixed-seed
+    uniform subsample before the leave-one-out loop.
     """
     if len(hyps) < 2:
         raise TooFewSentencesError(len(hyps))
     _check_order(order)
+    if cap < 2:
+        raise ValueError(f"cap must be >= 2, got {cap}")
     sentences = list(hyps)
     if len(sentences) > cap:
         rng = np.random.default_rng(seed)
@@ -128,34 +136,23 @@ def self_bleu(
 
     lens = [len(s) for s in sentences]
     len_counts = Counter(lens)
-    unique_lens = sorted(len_counts)
-
-    def loo_closest(i: int) -> int:
-        candidates = [
-            length
-            for length in unique_lens
-            if len_counts[length] - (1 if length == lens[i] else 0) > 0
-        ]
-        return _closest_ref_len(lens[i], candidates)
+    # leave-one-out reference length per sentence length: a sentence's own
+    # length is a candidate only if another sentence shares it
+    loo_ref_len = {
+        n: _closest_ref_len(n, [m for m in len_counts if m != n or len_counts[m] > 1]) for n in len_counts
+    }
 
     scores = []
     for i, counts in enumerate(per_sentence_counts):
         precisions = []
         for k in range(order):
             num = 0
-            den = max(lens[i] - k, 0)
             for gram, c in counts[k].items():
                 best, owner, second = top2[k][gram]
                 limit = second if owner == i else best
                 num += min(c, limit)
-            precisions.append((num, den))
-        if lens[i] == 0 or any(n == 0 or d == 0 for n, d in precisions):
-            scores.append(0.0)
-            continue
-        log_p = sum(math.log(n / d) for n, d in precisions) / order
-        r = loo_closest(i)
-        brevity = 1.0 if lens[i] > r else math.exp(1.0 - r / lens[i])
-        scores.append(brevity * math.exp(log_p))
+            precisions.append((num, max(lens[i] - k, 0)))
+        scores.append(_bleu(precisions, lens[i], loo_ref_len[lens[i]], order))
     return float(np.mean(scores))
 
 
@@ -186,11 +183,10 @@ class BleuReport:
         hyps: Sequence[Sentence],
         refs: Sequence[Sentence],
         order: int,
-        self_cap: int = SELF_BLEU_CAP,
         seed: int = 0,
     ) -> "BleuReport":
         test = corpus_bleu(hyps, refs, order)
-        self_score = self_bleu(hyps, order, cap=self_cap, seed=seed)
+        self_score = self_bleu(hyps, order, seed=seed)
         return cls(order=order, test_bleu=test, self_bleu=self_score, f1_bleu=f1_bleu(test, self_score))
 
     def to_dict(self) -> dict:

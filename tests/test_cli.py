@@ -176,6 +176,7 @@ def test_out_of_range_flag_exits_two(capsys, corpora, command, flag, value):
     code, _, err = run_cli(capsys, command, hyp, ref, flag, value, "--embeddings", ORTHO)
     assert code == 2
     assert err.startswith(f"error: {flag} must be")
+    assert f", got {value}" in err
 
 
 class TestMetrics:
@@ -375,6 +376,12 @@ pretrain = false
         assert code == 2
         assert key in err
         assert not (tmp_path / "out").exists()
+
+    def test_solver_key_error_keeps_the_value(self, capsys, tmp_path):
+        config = self.write_config(tmp_path, "steps = 5\nvocab_size = 3\nhorizon = 2\ngamma = 0\n")
+        code, _, err = run_cli(capsys, "train", str(config))
+        assert code == 2
+        assert "gamma must be finite and positive, got 0.0" in err
 
     @pytest.mark.parametrize("lines", [
         "lambda_sil = 1e300\nlearning_rate = 1e10",

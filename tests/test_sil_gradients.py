@@ -154,6 +154,16 @@ class TestWsilIndirect:
         expected_sil /= k
         assert np.allclose(combined - plain, expected_sil, atol=1e-9)
 
+    def test_either_now_variant_selects_the_mean_embedding_matcher(self):
+        env, policy, trajs, table = self.make_parts(seed=5, k=2)
+        best = max(t.reward for t in trajs)
+        sample = buffer_entries(((0, 1), best + 1.0), ((2, 2), best + 2.0))
+        grads = [
+            wsil_i_grad(trajs, sample, policy, table, SilConfig(lambda_sil=0.5, variant=variant), baseline=0.0)
+            for variant in (SilVariant.SIL_I_NOW, SilVariant.SIL_D_NOW)
+        ]
+        assert np.array_equal(*grads)
+
     def test_empty_buffer_sample_rejected(self):
         env, policy, trajs, table = self.make_parts()
         with pytest.raises(ValueError):

@@ -10,6 +10,12 @@ from seqot.sil_rl import (
     greedy_decode,
     sample_trajectories,
 )
+from seqot.sil_rl.experiments import final_policy_reward
+
+DECODERS = pytest.mark.parametrize(
+    "decode", [lambda p, e: sample_trajectories(p, e, 2, 0), greedy_decode, final_policy_reward],
+    ids=["sample", "greedy", "exact_reward"],
+)
 
 
 def per_step_sample(policy, env, count, rng):
@@ -287,12 +293,20 @@ class TestSampling:
         assert got[0].tokens[0] == 9
 
     @pytest.mark.parametrize("kind", list(PolicyKind))
-    @pytest.mark.parametrize("decode", [lambda p, e: sample_trajectories(p, e, 2, 0), greedy_decode],
-                             ids=["sample", "greedy"])
+    @DECODERS
     def test_env_past_the_policy_horizon_rejected(self, kind, decode):
         policy = Policy.uniform(3, 2, kind=kind)
         with pytest.raises(ValueError, match="env horizon 3 exceeds the policy horizon 2"):
             decode(policy, ToyEnv.markov(3, 3, seed=0))
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("policy_vocab, env_vocab", [(3, 4), (4, 3)])
+    @DECODERS
+    def test_vocab_mismatch_rejected(self, kind, policy_vocab, env_vocab, decode):
+        policy = Policy.uniform(policy_vocab, 2, kind=kind)
+        message = f"env vocab size {env_vocab} differs from the policy vocab size {policy_vocab}"
+        with pytest.raises(ValueError, match=message):
+            decode(policy, ToyEnv.markov(env_vocab, 2, seed=0))
 
 
 class TestGreedy:
@@ -341,3 +355,8 @@ class TestMarkovOracle:
     def test_invalid_rows_rejected(self):
         with pytest.raises(ValueError):
             MarkovOracle(initial=np.array([0.5, 0.4]), transition=np.eye(2))
+
+
+def test_negative_conditions_rejected():
+    with pytest.raises(ValueError, match="conditions must be >= 0"):
+        ToyEnv.overlap(4, 3, conditions=-2)

@@ -106,6 +106,12 @@ class TestSelfBleu:
         second = self_bleu(corpus, 2, cap=10, seed=3)
         assert first == second
 
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_cap_below_two_rejected(self, cap):
+        corpus = [[f"w{i}", f"v{i}"] for i in range(5)]
+        with pytest.raises(ValueError, match=f"cap must be >= 2, got {cap}"):
+            self_bleu(corpus, 2, cap=cap)
+
     def test_matches_naive_leave_one_out(self):
         # the top-2 count structure must agree with the rebuilt-table oracle
         corpus = [["a", "b", "a"], ["a", "b"], ["b", "a", "b"], ["c", "a"]]
