@@ -14,8 +14,9 @@ first on even seeds, and keeps the end-to-end metrics ``BENCHMARK.json``
 lists, for every workload it lists and at the run length it sets
 (``run_seconds``). Each side's median and quartiles, the pairs the change
 won (ties count for neither) and every run go to the output file. With
-``--trace-seed`` it also runs one traced round per side and workload and
-keeps the per-layer metrics.
+``--trace-seed`` it also runs two traced rounds per side and workload, in
+the order parent, change, change, parent, and keeps both readings of every
+per-layer metric.
 
 A claimed metric is met when the change wins at least nine tenths of the
 pairs and its median is better than the parent's by more than the parent's
@@ -40,6 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGITS = 4
+# Traced rounds, one at a time: each side runs once early and once late.
+TRACE_ORDER = ("parent", "change", "change", "parent")
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -148,6 +151,17 @@ def bench_workload(sides: dict, workload: str, seeds: list[int], seconds: float,
     }
 
 
+def trace_workload(sides: dict, workload: str, seed: int) -> dict:
+    """Per-layer metrics of four traced rounds, run in ``TRACE_ORDER`` so
+    that a drift in host speed weighs on both sides alike: for each metric,
+    each side's two readings in run order."""
+    readings = {side: [] for side in sides}
+    for side in TRACE_ORDER:
+        readings[side].append(run_once(sides[side], workload, seed, 1, 1)["metrics"])
+    return {name: {side: [run[name]["value"] for run in runs] for side, runs in readings.items()}
+            for name in readings["parent"][0]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -190,10 +204,9 @@ def main(argv=None) -> int:
             traced = {"command": f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
                                  "--seconds 1 --trace 1"}
             for workload in workloads:
-                results = {side: run_once(path, workload, args.trace_seed, 1, 1) for side, path in sides.items()}
-                traced[workload] = {name: [results[side]["metrics"][name]["value"] for side in sides]
-                                    for name in results["parent"]["metrics"]}
-            traced["pairs_are"] = "[parent, change]; one traced run per side"
+                traced[workload] = trace_workload(sides, workload, args.trace_seed)
+            traced["readings_are"] = ("{parent: [first, second], change: [first, second]}; "
+                                      f"runs went {', '.join(TRACE_ORDER)}")
             report["traced_round_0"] = traced
 
     if args.claim:

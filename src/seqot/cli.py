@@ -22,7 +22,7 @@ from . import __version__
 from .configfile import ConfigError, build_training_setup, parse_config_text
 from .embeddings import EmbeddingError, OovPolicy, load_embeddings
 from .manifest import build_manifest
-from .nested import NestedSolveError, nested_wasserstein, score_matrices
+from .nested import NestedSolveError, best_matches, nested_wasserstein, score_matrices
 from .ot_core import IpotConfig
 from .seq_match import score_pair
 from .sil_rl.train import DivergedError, file_log_record, train
@@ -99,11 +99,10 @@ def cmd_score(args) -> int:
     refs = read_corpus(args.ref_file, args.lowercase)
 
     if args.corpus:
-        distances, rewards = score_matrices(table, hyps, refs, config)
-        pairs = []
-        for index, best in enumerate(np.argmax(rewards, axis=1)):
-            w_distance, w_reward = float(distances[index, best]), float(rewards[index, best])
-            pairs.append({"index": index, "w_distance": w_distance, "w_reward": w_reward})
+        pairs = [
+            {"index": index, "w_distance": distance, "w_reward": reward}
+            for index, (_, distance, reward) in enumerate(best_matches(table, hyps, refs, config))
+        ]
     else:
         if len(hyps) != len(refs):
             raise UsageError(

@@ -6,7 +6,10 @@ against a reference set: it fills the K x K' matrices of pairwise sequence
 distances and rewards, solving each (hypothesis, reference) pair at most
 once per table and solver config through the table's ``pair_scores`` memo.
 A pair solved by an earlier call, or by an environment's reward on the same
-table, is not solved again. Two sets of sequences are matched by an outer
+table, is not solved again. :func:`best_matches` finds each hypothesis's
+best reference through the same memo, but solves only the pairs whose
+reward bound can still win; its output is the same as solving every pair
+and taking the argmax. Two sets of sequences are matched by an outer
 transport problem over the distance matrix. The outer plan also defines a
 per-hypothesis reward: each hypothesis inherits the plan-weighted sum of its
 pairwise rewards, so the raw values scale with the 1/K row mass.
@@ -14,6 +17,7 @@ pairwise rewards, so the raw values scale with the 1/K row mass.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +26,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .ot_core import DEFAULT_IPOT, IpotConfig, TransportPlan, ipot_solve
-from .seq_match import score_pair
+from .seq_match import reward_bound, score_pair
 
 
 class EmptySetError(ValueError):
@@ -81,26 +85,82 @@ def score_matrices(
     :class:`NestedSolveError` ``("inner", i, j)`` chained from the cause.
     """
     memo = table.pair_scores.setdefault(config, {})
-    # Memory per entry matters (a training run stores thousands): the tokens
-    # are interned so keys share one string per token rather than holding
-    # each caller's fresh copies, and one complex holds both floats exactly,
-    # in a third of the space of a 2-tuple.
-    ref_keys = [tuple(map(sys.intern, ref)) for ref in refs]
+    ref_keys = _keys(refs)
     distances = np.empty((len(hyps), len(refs)))
     rewards = np.empty((len(hyps), len(refs)))
     for i, hyp in enumerate(hyps):
         hyp_key = (len(hyp), *map(sys.intern, hyp))
         for j, ref in enumerate(refs):
-            key = hyp_key + ref_keys[j]
-            hit = memo.get(key)
-            if hit is None:
-                try:
-                    scored = score_pair(table, hyp, ref, config)
-                except Exception as exc:
-                    raise NestedSolveError("inner", i, j) from exc
-                hit = memo[key] = complex(scored.distance, scored.reward)
+            hit = _lookup(memo, hyp_key + ref_keys[j], table, hyp, ref, config, i, j)
             distances[i, j], rewards[i, j] = hit.real, hit.imag
     return distances, rewards
+
+
+def best_matches(
+    table: EmbeddingTable,
+    hyps: Sequence[Sequence[str]],
+    refs: Sequence[Sequence[str]],
+    config: IpotConfig = DEFAULT_IPOT,
+) -> list[tuple[int, float, float]]:
+    """``(j, distance, reward)`` of each hypothesis's best reference: the
+    index ``np.argmax(score_matrices(...)[1], axis=1)`` picks, the lowest
+    on an exact tie, and that pair's two floats, bit for bit.
+
+    Only the pairs whose :func:`reward_bound` can still win are solved.
+    Per hypothesis, every pair's bound is computed first (one cost matrix
+    each, kept for that row only); the references are then solved through
+    the pair-score memo in descending bound order, ties by index, until the
+    next bound is strictly below the best reward found. When the best
+    reference is well separated from the rest, as a paraphrase is, that is
+    one solve per hypothesis; when every bound reaches the best reward,
+    every pair is solved.
+    """
+    if len(refs) == 0:
+        raise EmptySetError("refs")
+    memo = table.pair_scores.setdefault(config, {})
+    ref_keys = _keys(refs)
+    best = []
+    for i, hyp in enumerate(hyps):
+        hyp_key = (len(hyp), *map(sys.intern, hyp))
+        bounds = np.empty(len(refs))
+        for j, ref in enumerate(refs):
+            try:
+                bounds[j] = reward_bound(table, hyp, ref)
+            except Exception as exc:
+                raise NestedSolveError("inner", i, j) from exc
+        top = (-1, math.nan, -math.inf)
+        for j in np.argsort(-bounds, kind="stable").tolist():
+            # Leaving a pair unsolved hides no error: the bound pass above
+            # built every cost matrix in row-major order, so a bad token
+            # fails at the (i, j) a full grid would report, and the costs
+            # are finite and in [0, 2], on which ipot_solve cannot raise.
+            if bounds[j] < top[2]:
+                break
+            hit = _lookup(memo, hyp_key + ref_keys[j], table, hyp, refs[j], config, i, j)
+            if hit.imag > top[2] or (hit.imag == top[2] and j < top[0]):
+                top = (j, hit.real, hit.imag)
+        best.append(top)
+    return best
+
+
+def _keys(refs: Sequence[Sequence[str]]) -> list[tuple]:
+    # Memory per entry matters (a training run stores thousands): the tokens
+    # are interned so keys share one string per token rather than holding
+    # each caller's fresh copies.
+    return [tuple(map(sys.intern, ref)) for ref in refs]
+
+
+def _lookup(memo: dict, key: tuple, table, hyp, ref, config, i: int, j: int) -> complex:
+    """The memo entry for ``key``, solving the pair on a miss. One complex
+    holds both floats exactly, in a third of the space of a 2-tuple."""
+    hit = memo.get(key)
+    if hit is None:
+        try:
+            scored = score_pair(table, hyp, ref, config)
+        except Exception as exc:
+            raise NestedSolveError("inner", i, j) from exc
+        hit = memo[key] = complex(scored.distance, scored.reward)
+    return hit
 
 
 def nested_wasserstein(

@@ -110,6 +110,13 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
     still moves by more than ``feasibility_tol``, since the maximum then
     does too. The stop rule, the plan and ``converged`` are the same as
     evaluating both tests in full on every iteration.
+
+    Column-mass invariant, converged or not: every returned plan is
+    nonnegative, and each of its columns sums to at most ``1/m`` up to
+    rounding, since the last operation is the column scaling ``sigma_j =
+    1/max(m * sum_i q_ij delta_i, floor)``; the floor can only lower a
+    column's mass. :func:`seqot.seq_match.reward_bound` prunes pairs
+    unsolved on this invariant, so a change to the loop must keep it.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.size == 0:

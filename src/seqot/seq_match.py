@@ -9,8 +9,11 @@ padded cosine-cost matrix; the reward is ``<T*, 1 - C>`` computed from the
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .embeddings import EmbeddingTable, build_cost_matrix
 from .ot_core import DEFAULT_IPOT, IpotConfig, ipot_solve
@@ -35,4 +38,25 @@ def score_pair(
     plan = ipot_solve(cm.values, config)
     reward = float((plan.values * (1.0 - cm.values)).sum())
     return PairScore(distance=plan.cost, reward=reward)
+
+
+def reward_bound(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) -> float:
+    """An upper bound on ``score_pair(table, hyp, ref, config).reward`` under
+    every solver config, from the cost matrix alone: no solve.
+
+    Each column of a plan :func:`ipot_solve` returns carries mass at most
+    1/L, so ``<T, 1 - C>`` is at most ``(1/L) sum_j max(0, 1 - min_i C_ij)``.
+    Pad cells cost exactly 1.0 and so never raise it.
+
+    The margin ``(L + 4)^2 * eps`` covers rounding, with C in [0, 2] and
+    u = eps/2: a column's mass exceeds 1/L by at most a factor 1 + (L + 4)u
+    (its dot product and three roundings); the reward's L^2 products and
+    their sum add at most (L^2 + 2)u to a plan of mass about 1; and the
+    bound's own L subtractions, sum and division lose at most (L + 2)u.
+    Together that is (L^2 + 2L + 8)u, under half the margin.
+    """
+    cost = build_cost_matrix(table, hyp, ref).values
+    size = cost.shape[0]
+    gain = np.maximum(1.0 - cost.min(axis=0), 0.0).sum() / size
+    return float(gain) + (size + 4) ** 2 * sys.float_info.epsilon
 

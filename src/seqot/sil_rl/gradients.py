@@ -34,7 +34,7 @@ from ..text_metrics import naive_semantic_score
 from .buffer import BufferEntry
 from .config import SilConfig, SilVariant
 from .envs import ToyEnv
-from .policy import Policy, Trajectory
+from .policy import Policy, Trajectory, _check_env
 
 
 def _tokens(items) -> list[tuple[int, ...]]:
@@ -174,6 +174,7 @@ def enumerate_sequences(env: ToyEnv) -> list[tuple[int, ...]]:
 
 def _enumeration(policy: Policy, env: ToyEnv, condition: int | None):
     """Every sequence, its probability under ``policy`` and its reward."""
+    _check_env(policy, env)
     seqs = enumerate_sequences(env)
     probs = np.exp(policy.log_prob(seqs))
     rewards = np.array([env.reward(seq, condition) for seq in seqs])

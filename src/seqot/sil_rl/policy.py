@@ -177,14 +177,20 @@ class Trajectory:
     reward: float
 
 
-def _step_table(policy: Policy, env: ToyEnv) -> np.ndarray:
-    """Next-token distributions of every (position, previous token) context
-    over ``env``'s horizon, shaped (H, V+1, V), from one ``step_probs_batch``
-    call; row ``[t, prev]`` equals ``step_probs_batch(t, prev)`` bit for bit."""
+def _check_env(policy: Policy, env: ToyEnv) -> None:
+    """Raise ``ValueError`` unless ``policy`` covers ``env``'s sequences: the
+    same vocab size, and a horizon at least as long."""
     if env.horizon > policy.horizon:
         raise ValueError(f"env horizon {env.horizon} exceeds the policy horizon {policy.horizon}")
     if env.vocab_size != policy.vocab_size:
         raise ValueError(f"env vocab size {env.vocab_size} differs from the policy vocab size {policy.vocab_size}")
+
+
+def _step_table(policy: Policy, env: ToyEnv) -> np.ndarray:
+    """Next-token distributions of every (position, previous token) context
+    over ``env``'s horizon, shaped (H, V+1, V), from one ``step_probs_batch``
+    call; row ``[t, prev]`` equals ``step_probs_batch(t, prev)`` bit for bit."""
+    _check_env(policy, env)
     return policy.step_probs_batch(np.arange(env.horizon)[:, None], np.arange(policy.vocab_size + 1))
 
 

@@ -1,6 +1,6 @@
-"""The pair summary of ``scripts/bench.py``: quartiles, pairs won and the
+"""The pair summary of ``scripts/bench.py``: quartiles, pairs won, the
 claim rule (nine tenths of the pairs, and a median gap past the parent's
-interquartile range)."""
+interquartile range) and the order of the traced rounds."""
 
 import importlib.util
 from pathlib import Path
@@ -38,3 +38,19 @@ def test_claim_needs_nine_tenths_and_a_gap_past_the_parent_iqr():
     assert not bench.claim_met(bench.summarize("higher", pairs(parent, eight)))
     assert not bench.claim_met(bench.summarize("higher", pairs(parent, [p + 1 for p in parent])))
     assert bench.claim_met(bench.summarize("lower", pairs(parent, [p - 20 for p in parent])))
+
+
+def test_traced_rounds_run_parent_change_change_parent(monkeypatch):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, workload, seed, seconds, trace))
+        return {"metrics": {"ot_core.solves": {"value": len(calls)}, "trace.overhead_s": {"value": -len(calls)}}}
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    traced = bench.trace_workload({"parent": "P", "change": "C"}, "eval-corpus", 4)
+    assert calls == [(side, "eval-corpus", 4, 1, 1) for side in ("P", "C", "C", "P")]
+    assert traced == {
+        "ot_core.solves": {"parent": [1, 4], "change": [2, 3]},
+        "trace.overhead_s": {"parent": [-1, -4], "change": [-2, -3]},
+    }

@@ -88,9 +88,25 @@ class TestScore:
         ref.write_text("c d\na b\n")
         code, out, _ = run_cli(capsys, "score", str(hyp), str(ref), "--corpus", "--embeddings", ORTHO)
         assert code == 0
-        assert len(solves) == len(set(solves)) == 4
+        # each distinct pair at most once, and only the best: a disjoint
+        # pair's bound (0) cannot reach an identical pair's reward (~1)
+        assert len(solves) == len(set(solves))
+        assert solves == [(("a", "b"), ("a", "b")), (("c", "d"), ("c", "d"))]
         pairs = json.loads(out)["pairs"]
         assert pairs[2] == {**pairs[0], "index": 2}
+
+    @pytest.mark.parametrize("hyp_text, ref_text, pair", [
+        ("a b\nc zebra\n", "a\nb\nc\n", "(1, 0)"),
+        ("a b\nc d\n", "a\nb\nc zebra\n", "(0, 2)"),
+    ], ids=["hypothesis", "reference"])
+    def test_corpus_mode_unknown_token_names_its_pair(self, capsys, tmp_path, hyp_text, ref_text, pair):
+        hyp = tmp_path / "h.txt"
+        ref = tmp_path / "r.txt"
+        hyp.write_text(hyp_text)
+        ref.write_text(ref_text)
+        code, _, err = run_cli(capsys, "score", str(hyp), str(ref), "--corpus", "--embeddings", ORTHO)
+        assert code == 2
+        assert err == f"error: inner solve failed for pair {pair}: unknown token 'zebra' (strict OOV policy)\n"
 
     def test_missing_file_exits_two(self, capsys, corpora):
         hyp, _ = corpora

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqot import (
     IpotConfig,
@@ -9,8 +13,13 @@ from seqot import (
     nested_wasserstein,
     score_pair,
 )
-from seqot.nested import EmptySetError, NestedSolveError, score_matrices
+from seqot.embeddings import EmbeddingTable, build_cost_matrix
+from seqot.nested import EmptySetError, NestedSolveError, best_matches, score_matrices
+from seqot.ot_core import ipot_solve
+from seqot.seq_match import reward_bound
 from seqot.sil_rl import basis_embedding_table
+
+from conftest import FIXTURES
 
 
 def random_sets(table, seed, k, k_prime, max_len=5):
@@ -182,3 +191,159 @@ class TestPairScoreMemo:
         expected = [score_pair(table, hyp, ref).distance for hyp, ref in pairs]
         assert distances == expected
         assert len(set(distances)) == 4
+
+
+def continuous_table(seed: int, size: int = 40, dim: int = 3) -> EmbeddingTable:
+    """Random directions in few dimensions: costs spread over all of [0, 2]."""
+    rows = np.random.default_rng(seed).standard_normal((size, dim))
+    return EmbeddingTable(dim=dim, entries={f"t{i}": row for i, row in enumerate(rows)})
+
+
+BOUND_TABLES = {"continuous": continuous_table(0), "basis": basis_embedding_table(12)}
+
+
+class TestRewardBound:
+    """``reward_bound`` caps the reward of every plan ``ipot_solve`` returns:
+    converged or not, capped or not, padded or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(BOUND_TABLES)),
+        st.sampled_from(["random", "identical", "permutation", "subset"]),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.floats(-3.0, 0.0),
+        st.sampled_from([1, 2, 5, 20, 1000]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_reward_never_exceeds_the_bound(self, kind, shape, hyp_len, ref_len, log_gamma, outer_iters, seed):
+        table = BOUND_TABLES[kind]
+        rng = np.random.default_rng(seed)
+        vocab = table.tokens()
+        ref = [vocab[t] for t in rng.integers(0, len(vocab), ref_len)]
+        hyp = {
+            "random": lambda: [vocab[t] for t in rng.integers(0, len(vocab), hyp_len)],
+            "identical": lambda: list(ref),
+            "permutation": lambda: [ref[t] for t in rng.permutation(ref_len)],
+            "subset": lambda: [ref[t] for t in sorted(rng.choice(ref_len, min(hyp_len, ref_len), replace=False))],
+        }[shape]()
+        config = IpotConfig(gamma=10.0**log_gamma, outer_iters=outer_iters)
+
+        cost = build_cost_matrix(table, hyp, ref).values
+        plan = ipot_solve(cost, config)
+        size = cost.shape[0]
+        eps = sys.float_info.epsilon
+        # the invariant the bound rests on: no negative entry, no column past 1/L
+        assert plan.values.min() >= 0.0
+        assert plan.values.sum(axis=0).max() <= (1.0 + (2 * size + 8) * eps) / size
+        reward = float((plan.values * (1.0 - cost)).sum())
+        assert reward == score_pair(table, hyp, ref, config).reward
+        assert reward <= reward_bound(table, hyp, ref)
+
+    def test_the_margin_covers_a_reward_rounded_past_one(self):
+        # an identical pair: the bound before its margin is exactly 1.0, and
+        # this plan's reward rounds past it
+        table = BOUND_TABLES["basis"]
+        seq = ["4", "0", "3", "1", "4"]
+        reward = score_pair(table, seq, seq, IpotConfig(gamma=0.01, outer_iters=20)).reward
+        assert reward > 1.0
+        assert reward_bound(table, seq, seq) == 1.0 + 9**2 * sys.float_info.epsilon
+
+    def test_pads_do_not_raise_the_bound(self, ortho_table):
+        # "a" matches one of the three reference columns; the pads match none
+        assert reward_bound(ortho_table, ["a"], ["b", "a", "c"]) == pytest.approx(1 / 3, abs=1e-12)
+        assert reward_bound(ortho_table, ["a"], ["b", "c", "d"]) == pytest.approx(0.0, abs=1e-12)
+
+
+def argmax_matches(table, hyps, refs, config=IpotConfig()):
+    """The full grid's argmax per row, as ``(j, distance, reward)`` with the
+    floats as exact bits."""
+    distances, rewards = score_matrices(table, hyps, refs, config)
+    return [
+        (int(j), distances[i, j].hex(), rewards[i, j].hex())
+        for i, j in enumerate(np.argmax(rewards, axis=1))
+    ]
+
+
+def as_bits(matches):
+    return [(j, distance.hex(), reward.hex()) for j, distance, reward in matches]
+
+
+class TestBestMatches:
+    """``best_matches`` picks the argmax of the full grid, bit for bit,
+    while solving only the pairs whose bound can still win."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("make", [
+        lambda seed: load_embeddings(FIXTURES / "toy_embeddings.txt"),
+        continuous_table,
+        lambda seed: basis_embedding_table(6),
+    ], ids=["toy", "continuous", "basis"])
+    def test_equals_the_full_grid_argmax(self, make, seed):
+        hyps, refs = random_sets(make(seed), seed, 5, 7, max_len=8)
+        refs[3] = list(refs[1])  # a duplicate reference line
+        hyps.append(list(refs[5]))  # a hypothesis with an exact match
+        table = make(seed)
+        assert as_bits(best_matches(table, hyps, refs)) == argmax_matches(make(seed), hyps, refs)
+        # warm: every pair now answered from the memo the grid shares
+        assert as_bits(best_matches(table, hyps, refs)) == argmax_matches(table, hyps, refs)
+
+    def test_duplicate_references_lowest_index_wins(self, ortho_table, count_inner_solves):
+        hyps = [["a", "b"], ["c"]]
+        refs = [["d"], ["b", "a"], ["c", "d"], ["a", "b"], ["b", "a"], ["c"], ["c"]]
+        matches = best_matches(ortho_table, hyps, refs)
+        assert as_bits(matches) == argmax_matches(ortho_table, hyps, refs)
+        assert [j for j, _, _ in matches] == [1, 5]
+
+    def test_empty_reference_set_rejected(self, ortho_table):
+        with pytest.raises(EmptySetError):
+            best_matches(ortho_table, [["a"]], [])
+
+    def test_exact_tie_keeps_the_lower_index_visited_second(self, ortho_table, count_inner_solves):
+        # both rewards are exactly 0.0; the longer reference's margin gives
+        # it the higher bound, so it is solved first and then loses the tie
+        refs = [["b"], ["b", "c"]]
+        assert reward_bound(ortho_table, ["a"], refs[1]) > reward_bound(ortho_table, ["a"], refs[0])
+        matches = best_matches(ortho_table, [["a"]], refs)
+        assert count_inner_solves == [(("a",), ("b", "c")), (("a",), ("b",))]
+        assert matches[0][0] == 0 and matches[0][2] == 0.0
+        assert as_bits(matches) == argmax_matches(ortho_table, [["a"]], refs)
+
+    def test_nothing_pruned_when_every_bound_reaches_the_best(self, ortho_table, count_inner_solves):
+        # every reference is a permutation of the hypothesis: every bound is
+        # 1 + margin, and no reward can exceed it
+        hyps = [["a", "b", "c", "d"]]
+        refs = [["b", "a", "d", "c"], ["d", "c", "b", "a"], ["a", "b", "c", "d"], ["c", "d", "a", "b"]]
+        matches = best_matches(ortho_table, hyps, refs)
+        assert len(count_inner_solves) == len(refs)
+        assert as_bits(matches) == argmax_matches(ortho_table, hyps, refs)
+
+    def test_repeated_hypotheses_are_served_from_the_memo(self, fixtures_dir, count_inner_solves):
+        table = load_embeddings(fixtures_dir / "toy_embeddings.txt")
+        hyp = "young kid rides one bike".split()
+        refs = ["youthful child cycles single bicycle".split(), ["cow", "road"], ["main", "road", "down"]]
+        first = best_matches(table, [hyp], refs)
+        solved = list(count_inner_solves)
+        assert solved == [(tuple(hyp), tuple(refs[0]))]
+        again = best_matches(table, [hyp, list(hyp), hyp], refs)
+        assert count_inner_solves == solved
+        assert as_bits(again) == as_bits(first) * 3
+
+    def test_shares_the_memo_with_score_matrices(self, fixtures_dir, count_inner_solves):
+        table = load_embeddings(fixtures_dir / "toy_embeddings.txt")
+        hyps, refs = random_sets(table, 11, 3, 4)
+        score_matrices(table, hyps, refs)
+        del count_inner_solves[:]
+        best_matches(table, hyps, refs)
+        assert count_inner_solves == []
+
+    @pytest.mark.parametrize("hyps, refs, pair", [
+        ([["a"], ["c", "zebra"]], [["a"], ["b"], ["c"]], (1, 0)),
+        ([["a"], ["b"]], [["a"], ["b"], ["c", "zebra"]], (0, 2)),
+    ], ids=["hypothesis", "reference"])
+    def test_unknown_token_fails_at_the_full_grid_pair(self, ortho_table, hyps, refs, pair):
+        for score in (score_matrices, best_matches):
+            with pytest.raises(NestedSolveError) as err:
+                score(ortho_table, hyps, refs)
+            assert (err.value.i, err.value.j) == pair
+            assert "zebra" in str(err.value.__cause__)

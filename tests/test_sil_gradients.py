@@ -11,6 +11,7 @@ from seqot.sil_rl import (
     ToyEnv,
     basis_embedding_table,
     enumerate_sequences,
+    exact_expected_reward,
     exact_policy_gradient,
     reinforce_grad,
     sample_trajectories,
@@ -64,6 +65,20 @@ class TestReinforce:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             reinforce_grad([], Policy.tabular(2, 1), 0.0)
+
+
+@pytest.mark.parametrize("oracle", [exact_expected_reward, exact_policy_gradient])
+class TestEnumerationRejectsAMismatchedEnv:
+    @pytest.mark.parametrize("policy_vocab, env_vocab", [(4, 3), (3, 4)])
+    def test_vocab_mismatch(self, oracle, policy_vocab, env_vocab):
+        env = ToyEnv.markov(env_vocab, 2, seed=0, reference_count=0)
+        message = f"env vocab size {env_vocab} differs from the policy vocab size {policy_vocab}"
+        with pytest.raises(ValueError, match=message):
+            oracle(Policy.tabular(policy_vocab, 2), env)
+
+    def test_env_past_the_policy_horizon(self, oracle):
+        with pytest.raises(ValueError, match="env horizon 3 exceeds the policy horizon 2"):
+            oracle(Policy.linear(3, 2), ToyEnv.markov(3, 3, seed=0, reference_count=0))
 
 
 class TestWsilIndirect:
