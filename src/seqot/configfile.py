@@ -17,7 +17,7 @@ from enum import Enum
 from .ot_core import IpotConfig
 from .sil_rl.buffer import BufferCriterion
 from .sil_rl.config import BaselineMode, Schedule, SilConfig, SilVariant
-from .sil_rl.envs import ToyEnv
+from .sil_rl.envs import RewardKind, ToyEnv
 from .sil_rl.policy import Policy, PolicyKind
 
 
@@ -44,19 +44,13 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-class EnvKind(str, Enum):
-    MARKOV = "markov"
-    OVERLAP = "overlap"
-    CONDITIONAL = "conditional"
-
-
 # key -> (type, "target.argument" it fills). The "setup" arguments belong to
 # the file format; "ot" is IpotConfig, "env" the ToyEnv constructor, "policy"
 # Policy.uniform, "sil" SilConfig and "schedule" its Schedule.
 _KEYS = {
     "steps": (int, "setup.steps"),
     "seed": (int, "sil.seed"),
-    "env": (EnvKind, "setup.env"),
+    "env": (RewardKind, "setup.env"),
     "vocab_size": (int, "env.vocab_size"),
     "horizon": (int, "env.horizon"),
     "env_seed": (int, "env.seed"),
@@ -83,16 +77,14 @@ _KEYS = {
     "bleu_order": (int, "sil.bleu_order"),
     "gamma": (float, "ot.gamma"),
     "outer_iters": (int, "ot.outer_iters"),
-    "inner_sinkhorn_iters": (int, "ot.inner_sinkhorn_iters"),
-    "feasibility_tol": (float, "ot.feasibility_tol"),
 }
 _KEY_OF = {dest: key for key, (_, dest) in _KEYS.items()}
 
 # key -> (setting, value): the key does something only when that setting
 # (as set, or as defaulted by its owner) has that value.
 _APPLIES_ONLY = {
-    "conditions": ("env", EnvKind.CONDITIONAL),
-    "oracle_concentration": ("env", EnvKind.MARKOV),
+    "conditions": ("env", RewardKind.CONDITIONAL),
+    "oracle_concentration": ("env", RewardKind.MARKOV),
     "bleu_order": ("buffer_criterion", BufferCriterion.F1_BLEU),
     "pretrain_smoothing": ("pretrain", True),
     "baseline_decay": ("baseline", BaselineMode.CONSTANT),
@@ -154,7 +146,7 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
         raise ConfigError("key 'steps': must be >= 1")
 
     resolved = dict(sorted(values.items()))
-    resolved.setdefault("env", EnvKind.MARKOV)
+    resolved.setdefault("env", RewardKind.MARKOV)
     resolved.setdefault("seed", 0)
     args: dict[str, dict] = {target: {} for target in ("setup", "ot", "env", "policy", "sil", "schedule")}
     for key, value in resolved.items():
@@ -163,7 +155,7 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
     env_kind = resolved["env"]
     args["env"].setdefault("seed", resolved["seed"])
     args["schedule"].setdefault("ramp_steps", max(steps // 2, 1))
-    if env_kind is EnvKind.CONDITIONAL and args["env"].setdefault("conditions", 4) < 1:
+    if env_kind is RewardKind.CONDITIONAL and args["env"].setdefault("conditions", 4) < 1:
         raise ConfigError(f"key 'conditions': env = conditional needs at least 1, got {args['env']['conditions']}")
 
     ot = _make("ot", IpotConfig, args)
@@ -174,7 +166,7 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
         if key in values and settings[target][name] != needed:
             raise ConfigError(f"key {key!r}: applies only to {setting} = {_show(needed)}, "
                               f"got {setting} = {_show(settings[target][name])}")
-    env = _make("env", ToyEnv.markov if env_kind is EnvKind.MARKOV else ToyEnv.overlap, args, ot_config=ot)
+    env = _make("env", ToyEnv.markov if env_kind is RewardKind.MARKOV else ToyEnv.overlap, args, ot_config=ot)
     policy = _make("policy", Policy.uniform, args, vocab_size=env.vocab_size, horizon=env.horizon)
     if sil.pretrain and not any(env.references.values()):
         raise ConfigError("key 'reference_count': pretrain = true needs at least 1 reference, got 0")

@@ -1,8 +1,8 @@
 """Discrete optimal transport with uniform marginals.
 
 The solver runs proximal-point iterations: each outer step multiplies the
-current plan into an entropic kernel and re-balances it with inner Sinkhorn
-sweeps, which drives the plan to the unregularized optimum. A brute-force
+current plan into an entropic kernel and re-balances it with one Sinkhorn
+sweep, which drives the plan to the unregularized optimum. A brute-force
 permutation oracle is provided for testing square instances.
 """
 
@@ -28,6 +28,9 @@ class OracleTooLargeError(ValueError):
 
 #: Every division in the solver clamps its denominator at this floor.
 EPSILON_FLOOR = 1e-300
+#: The solver stops once the plan is within this of both uniform marginals
+#: (L1) and moves by at most this between consecutive outer steps.
+FEASIBILITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,27 +38,20 @@ class IpotConfig:
     """Proximal-solver knobs.
 
     ``gamma`` is the proximal weight (1/gamma is the generalized step
-    size); smaller values sharpen the kernel and converge in fewer outer
-    steps on bounded costs. One inner Sinkhorn sweep per outer step is the
-    conventional choice. The solver stops early once the plan is feasible
-    within ``feasibility_tol`` *and* stationary between consecutive outer
-    steps.
+    size). Smaller values sharpen the kernel, which does not by itself
+    mean fewer outer steps: on continuous cosine costs, 0.05 took about
+    half the steps of the default, but 0.02 took more than 0.05 and left
+    some solves unconverged at the cap. ``outer_iters`` caps the steps.
     """
 
     gamma: float = 0.25
     outer_iters: int = 1000
-    inner_sinkhorn_iters: int = 1
-    feasibility_tol: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.outer_iters < 1:
             raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
-        if self.inner_sinkhorn_iters < 1:
-            raise ValueError(f"inner_sinkhorn_iters must be >= 1, got {self.inner_sinkhorn_iters}")
-        if not 0 < self.feasibility_tol < math.inf:
-            raise ValueError(f"feasibility_tol must be finite and positive, got {self.feasibility_tol}")
 
 
 DEFAULT_IPOT = IpotConfig()
@@ -66,7 +62,7 @@ class TransportPlan:
     """Nonnegative coupling with uniform marginals and its transport cost.
 
     The ``n`` rows of ``values`` carry mass ``1/n`` and its ``m`` columns
-    ``1/m`` (within the solver's feasibility tolerance); ``cost`` is the
+    ``1/m`` (within ``FEASIBILITY_TOL``); ``cost`` is the
     Frobenius product of ``values`` with the cost matrix it was solved
     against. ``converged`` records whether the returned plan met the
     feasibility tolerance (early stop or not); ``iterations_used``
@@ -94,8 +90,8 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
     """Solve uniform-marginal OT on ``cost`` by proximal-point iteration.
 
     Each outer step forms ``Q = exp(-C/gamma) * T`` and re-balances it with
-    ``inner_sinkhorn_iters`` row/column scalings; the rebalanced plan
-    becomes the next proximal center.
+    one row scaling and one column scaling (Algorithm 1 of Xie et al. 2018,
+    arXiv 1802.04307); the rebalanced plan becomes the next proximal center.
 
     The loop runs in place: each solve allocates its work arrays once,
     every step writes into them, and the current and next plan swap
@@ -104,10 +100,10 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
 
     The stop test reads the stationarity step ``max|T_new - T|`` before the
     marginal violation, which is evaluated only on iterations whose step is
-    within ``feasibility_tol``, and once after the loop if the last
+    within ``FEASIBILITY_TOL``, and once after the loop if the last
     iteration skipped it. The full step pass is skipped while one witness
     element (the argmax of the last full pass, element 0 before the first)
-    still moves by more than ``feasibility_tol``, since the maximum then
+    still moves by more than ``FEASIBILITY_TOL``, since the maximum then
     does too. The stop rule, the plan and ``converged`` are the same as
     evaluating both tests in full on every iteration.
 
@@ -127,7 +123,7 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
     n, m = c.shape
     row_count, col_count = np.array(float(n)), np.array(float(m))
     floor = np.array(EPSILON_FLOOR)
-    tol = config.feasibility_tol
+    tol = FEASIBILITY_TOL
 
     # Shifting negative costs up to 0 scales the kernel by a constant,
     # which the Sinkhorn scalings absorb, and keeps exp() from overflowing.
@@ -145,15 +141,14 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
     violation = None
     for it in range(1, config.outer_iters + 1):
         np.multiply(kernel, plan, out=q)
-        for _ in range(config.inner_sinkhorn_iters):
-            q.dot(sigma, out=delta)
-            np.multiply(row_count, delta, out=delta)
-            np.maximum(delta, floor, out=delta)
-            np.reciprocal(delta, out=delta)
-            q_t.dot(delta, out=sigma)
-            np.multiply(col_count, sigma, out=sigma)
-            np.maximum(sigma, floor, out=sigma)
-            np.reciprocal(sigma, out=sigma)
+        q.dot(sigma, out=delta)
+        np.multiply(row_count, delta, out=delta)
+        np.maximum(delta, floor, out=delta)
+        np.reciprocal(delta, out=delta)
+        q_t.dot(delta, out=sigma)
+        np.multiply(col_count, sigma, out=sigma)
+        np.maximum(sigma, floor, out=sigma)
+        np.reciprocal(sigma, out=sigma)
         np.multiply(delta_col, q, out=new_plan)
         np.multiply(new_plan, sigma, out=new_plan)
         if abs(new_plan.item(witness) - plan.item(witness)) > tol:

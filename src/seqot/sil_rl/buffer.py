@@ -118,7 +118,7 @@ def buffer_update(
     buffer: ReplayBuffer,
     trajs: Sequence["Trajectory"],
     criterion: BufferCriterion,
-    env: "ToyEnv | None" = None,
+    env: "ToyEnv",
     bleu_order: int = 2,
     step: int = 0,
 ) -> ReplayBuffer:
@@ -127,7 +127,7 @@ def buffer_update(
     The BLEU-blend criterion scores quality against the environment's
     references and redundancy against what the buffer already holds; the
     transport criterion scores the mean pairwise reward against the
-    references. Both need ``env``.
+    references.
     """
     for traj in trajs:
         if criterion is BufferCriterion.REWARD:
@@ -135,7 +135,7 @@ def buffer_update(
         elif criterion is BufferCriterion.F1_BLEU:
             score = _f1_bleu_score(buffer, traj, env, bleu_order)
         elif criterion is BufferCriterion.REFERENCE_REWARD:
-            score = _require_env(env).reference_reward(traj.tokens, traj.condition)
+            score = env.reference_reward(traj.tokens, traj.condition)
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown criterion {criterion!r}")
         buffer.add(
@@ -149,14 +149,7 @@ def buffer_update(
     return buffer
 
 
-def _require_env(env: "ToyEnv | None") -> "ToyEnv":
-    if env is None:
-        raise ValueError("this criterion needs the environment (references)")
-    return env
-
-
-def _f1_bleu_score(buffer: ReplayBuffer, traj, env, order: int) -> float:
-    env = _require_env(env)
+def _f1_bleu_score(buffer: ReplayBuffer, traj, env: "ToyEnv", order: int) -> float:
     refs = env.references_for(traj.condition)
     if not refs:
         raise ValueError("F1-BLEU criterion needs environment references")

@@ -24,8 +24,10 @@ from ..seq_match import score_pair  # noqa: F401  (perfbench's tracer patches th
 
 
 class RewardKind(str, Enum):
-    ORACLE_LOGPROB = "oracle_logprob"
-    TARGET_OVERLAP = "target_overlap"
+    """The env kind, and the ``env`` value of a training config file."""
+
+    MARKOV = "markov"
+    OVERLAP = "overlap"
     CONDITIONAL = "conditional"
 
 
@@ -112,9 +114,9 @@ class ToyEnv:
             raise ValueError("vocab_size must be >= 2")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.reward_fn is RewardKind.ORACLE_LOGPROB and self.oracle is None:
-            raise ValueError("oracle_logprob reward needs a MarkovOracle")
-        if self.reward_fn in (RewardKind.TARGET_OVERLAP, RewardKind.CONDITIONAL) and not self.references:
+        if self.reward_fn is RewardKind.MARKOV and self.oracle is None:
+            raise ValueError("markov reward needs a MarkovOracle")
+        if self.reward_fn in (RewardKind.OVERLAP, RewardKind.CONDITIONAL) and not self.references:
             raise ValueError("overlap rewards need reference sequences")
         if self.table is None:
             self.table = basis_embedding_table(self.vocab_size)
@@ -136,7 +138,7 @@ class ToyEnv:
         value = self._reward_cache.get(key)
         if value is None:
             cond, seq = key
-            if self.reward_fn is RewardKind.ORACLE_LOGPROB:
+            if self.reward_fn is RewardKind.MARKOV:
                 value = self.oracle.logprob(seq)
             else:
                 value = self.reference_reward(seq, cond)
@@ -177,7 +179,7 @@ class ToyEnv:
         return cls(
             vocab_size=vocab_size,
             horizon=horizon,
-            reward_fn=RewardKind.ORACLE_LOGPROB,
+            reward_fn=RewardKind.MARKOV,
             seed=seed,
             oracle=oracle,
             references={None: refs},
@@ -203,7 +205,7 @@ class ToyEnv:
         if conditions < 0:
             raise ValueError("conditions must be >= 0")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        kind = RewardKind.CONDITIONAL if conditions > 0 else RewardKind.TARGET_OVERLAP
+        kind = RewardKind.CONDITIONAL if conditions > 0 else RewardKind.OVERLAP
         groups = range(conditions) if conditions > 0 else [None]
         references = {
             g: [tuple(rng.integers(0, vocab_size, horizon).tolist()) for _ in range(reference_count)]

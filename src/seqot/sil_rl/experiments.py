@@ -43,8 +43,8 @@ def final_policy_reward(policy: Policy, env: ToyEnv) -> float:
     position, which a forward pass carries along in O(H * V^2). It reads
     the step table sampling uses, with its checks, for both policy kinds.
     """
-    if env.reward_fn is not RewardKind.ORACLE_LOGPROB:
-        raise ValueError("exact scoring needs a Markov-chain (oracle_logprob) environment")
+    if env.reward_fn is not RewardKind.MARKOV:
+        raise ValueError("exact scoring needs a Markov-chain environment (env = markov)")
     table = _step_table(policy, env)
     marginal = table[0, policy.start_index]
     total = float(marginal @ np.log(env.oracle.initial))

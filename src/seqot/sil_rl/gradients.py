@@ -140,11 +140,12 @@ def wsil_d_grad(
 ) -> np.ndarray:
     """Direct self-imitation ascent gradient on buffered sequences.
 
-    Each buffer sequence is scored against the reference set (plan-weighted
-    pairwise rewards, or mean-embedding similarity for the ablation), the
-    batch mean of those scores serves as the baseline, and only positive
-    advantages contribute: ``lambda * sum_j (score_j - mean)_+ *
-    grad log pi(b_j)``. With a single entry the advantage is exactly zero,
+    Each buffer sequence is scored against the reference set by its row of
+    coupling-weighted pairwise rewards (for the ablation, the uniform
+    coupling ``1/(K K')`` over mean-embedding similarities, so both variants
+    score on one scale), the batch mean of those scores serves as the
+    baseline, and only positive advantages contribute: ``lambda * sum_j
+    (score_j - mean)_+ * grad log pi(b_j)``. With a single entry the advantage is exactly zero,
     so the direct update needs at least two buffer samples to act.
     """
     if not buffer_sample:
@@ -155,11 +156,7 @@ def wsil_d_grad(
         return np.zeros_like(policy.params)
 
     weights, rewards = _match(_tokens(buffer_sample), refs, table, config)
-    if config.variant is SilVariant.SIL_D_NOW:
-        scores = rewards.mean(axis=1)
-    else:
-        scores = (weights * rewards).sum(axis=1)
-
+    scores = (weights * rewards).sum(axis=1)
     advantages = np.maximum(scores - scores.mean(), 0.0)
     return config.lambda_sil * policy.grad_log_prob(_tokens(buffer_sample), advantages)
 

@@ -143,7 +143,7 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
         if config.baseline_mode is BaselineMode.GREEDY:
             baseline = greedy_decode(policy, env, condition).reward
 
-        buffer_update(buffer, trajs, config.buffer_criterion, env=env,
+        buffer_update(buffer, trajs, config.buffer_criterion, env,
                       bleu_order=config.bleu_order, step=step)
 
         if kind == "sil":

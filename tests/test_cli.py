@@ -348,10 +348,7 @@ pretrain = false
     @pytest.mark.parametrize("lines, key", [
         ("gamma = 0", "gamma"),
         ("outer_iters = 0", "outer_iters"),
-        ("inner_sinkhorn_iters = 0", "inner_sinkhorn_iters"),
-        ("feasibility_tol = 0", "feasibility_tol"),
         ("gamma = inf", "gamma"),
-        ("feasibility_tol = inf", "feasibility_tol"),
         ("temperature = 0", "temperature"),
         ("buffer_capacity = 0", "buffer_capacity"),
         ("reference_count = -1", "reference_count"),
@@ -391,6 +388,23 @@ pretrain = false
         code, _, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
         assert code == 2
         assert key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", [
+        "inner_sinkhorn_iters = 0",
+        "inner_sinkhorn_iters = 2",
+        "feasibility_tol = 0",
+        "feasibility_tol = inf",
+        "feasibility_tol = 1e-5",
+    ])
+    def test_removed_solver_keys_are_unknown(self, capsys, tmp_path, line):
+        """The solver runs one Sinkhorn sweep per step to a fixed tolerance,
+        so neither setting is a key: a file that sets one fails as unknown."""
+        config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{line}\n")
+        code, _, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
+        key = line.partition(" ")[0]
+        assert code == 2
+        assert f"unknown key '{key}'" in err
         assert not (tmp_path / "out").exists()
 
     def test_solver_key_error_keeps_the_value(self, capsys, tmp_path):
@@ -444,7 +458,7 @@ REQUIRED_KEYS = {"steps": "5", "vocab_size": "3", "horizon": "2"}
 KEY_PROBES = {
     "steps": ("7", {}, lambda s: s.steps, 7),
     "seed": ("3", {}, lambda s: s.sil.seed, 3),
-    "env": ("overlap", {}, lambda s: s.env.reward_fn, RewardKind.TARGET_OVERLAP),
+    "env": ("overlap", {}, lambda s: s.env.reward_fn, RewardKind.OVERLAP),
     "vocab_size": ("4", {}, lambda s: (s.env.vocab_size, s.policy.vocab_size), (4, 4)),
     "horizon": ("3", {}, lambda s: (s.env.horizon, s.policy.horizon), (3, 3)),
     "env_seed": ("9", {}, lambda s: s.env.seed, 9),
@@ -472,10 +486,6 @@ KEY_PROBES = {
     "bleu_order": ("3", {"buffer_criterion": "f1_bleu"}, lambda s: s.sil.bleu_order, 3),
     "gamma": ("0.5", {}, lambda s: (s.sil.ot.gamma, s.env.ot_config.gamma), (0.5, 0.5)),
     "outer_iters": ("50", {}, lambda s: (s.sil.ot.outer_iters, s.env.ot_config.outer_iters), (50, 50)),
-    "inner_sinkhorn_iters": ("2", {}, lambda s: (s.sil.ot.inner_sinkhorn_iters,
-                                                 s.env.ot_config.inner_sinkhorn_iters), (2, 2)),
-    "feasibility_tol": ("1e-5", {}, lambda s: (s.sil.ot.feasibility_tol, s.env.ot_config.feasibility_tol),
-                        (1e-5, 1e-5)),
 }
 
 

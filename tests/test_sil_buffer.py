@@ -95,7 +95,7 @@ class TestReplayBuffer:
         previous_min = -np.inf
         for step in range(30):
             trajs = sample_trajectories(policy, env, 5, rng)
-            buffer_update(buffer, trajs, BufferCriterion.REWARD, env=env, step=step)
+            buffer_update(buffer, trajs, BufferCriterion.REWARD, env, step=step)
             if len(buffer.entries()) == buffer.capacity:
                 current = buffer.min_reward()
                 assert current >= previous_min
@@ -174,7 +174,7 @@ class TestBufferUpdate:
     def test_empty_buffer_inserts_all(self):
         env = ToyEnv.markov(3, 2, seed=1)
         trajs = sample_trajectories(Policy.tabular(3, 2), env, 4, 0)
-        buffer = buffer_update(ReplayBuffer(capacity=16), trajs, BufferCriterion.REWARD, env=env)
+        buffer = buffer_update(ReplayBuffer(capacity=16), trajs, BufferCriterion.REWARD, env)
         assert len(buffer) == len({t.tokens for t in trajs})
 
     def test_full_buffer_unchanged_by_low_scores(self):
@@ -184,7 +184,7 @@ class TestBufferUpdate:
         env = ToyEnv.markov(3, 2, seed=1)  # log-probs are far below 99
         trajs = sample_trajectories(Policy.tabular(3, 2), env, 6, 0)
         before = [(e.tokens, e.reward) for e in buffer.entries()]
-        buffer_update(buffer, trajs, BufferCriterion.REWARD, env=env)
+        buffer_update(buffer, trajs, BufferCriterion.REWARD, env)
         assert [(e.tokens, e.reward) for e in buffer.entries()] == before
 
     def test_conditional_capacity_five(self):
@@ -194,7 +194,7 @@ class TestBufferUpdate:
         rng = np.random.default_rng(1)
         for step in range(40):
             trajs = sample_trajectories(policy, env, 5, rng)
-            buffer_update(buffer, trajs, BufferCriterion.REWARD, env=env, step=step)
+            buffer_update(buffer, trajs, BufferCriterion.REWARD, env, step=step)
         for cond in env.condition_ids():
             assert len(buffer.entries(cond)) <= 5
 
@@ -209,11 +209,11 @@ class TestBufferUpdate:
                 self.reward = 0.0
 
         buffer = ReplayBuffer(capacity=8)
-        buffer_update(buffer, [Fake(ref)], BufferCriterion.F1_BLEU, env=env)
+        buffer_update(buffer, [Fake(ref)], BufferCriterion.F1_BLEU, env)
         first_score = buffer.max_reward()
         assert first_score > 0.0
         # the same sequence again now scores lower: redundant with the buffer
-        buffer2 = buffer_update(ReplayBuffer(capacity=8), [Fake(ref), Fake(ref)], BufferCriterion.F1_BLEU, env=env)
+        buffer2 = buffer_update(ReplayBuffer(capacity=8), [Fake(ref), Fake(ref)], BufferCriterion.F1_BLEU, env)
         scores = sorted(e.reward for e in buffer2.entries())
         assert len(scores) == 1  # dedupe keeps the higher (first) score
 
@@ -230,15 +230,6 @@ class TestBufferUpdate:
         buffer = ReplayBuffer(capacity=8)
         exact = Fake(ref)
         off = Fake(tuple((t + 1) % 4 for t in ref))
-        buffer_update(buffer, [exact, off], BufferCriterion.REFERENCE_REWARD, env=env)
+        buffer_update(buffer, [exact, off], BufferCriterion.REFERENCE_REWARD, env)
         ranked = buffer.entries()
         assert ranked[0].tokens == exact.tokens
-
-    def test_requires_env_for_reference_criteria(self):
-        class Fake:
-            tokens = (0, 1)
-            condition = None
-            reward = 0.0
-
-        with pytest.raises(ValueError):
-            buffer_update(ReplayBuffer(capacity=2), [Fake()], BufferCriterion.F1_BLEU)

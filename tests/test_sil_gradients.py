@@ -267,9 +267,25 @@ class TestWsilDirect:
                 )
                 for e in sample
             ]
-        )
+        ) / len(sample)  # each row carries the uniform coupling's mass 1/K
         advantages = np.maximum(scores - scores.mean(), 0.0)
         expected = sum(
             adv * policy.grad_log_prob(e.tokens) for e, adv in zip(sample, advantages) if adv > 0
         )
         assert np.allclose(grad, expected, atol=1e-12)
+
+    def test_now_variant_scores_on_the_transport_scale(self):
+        """Both direct variants score a row by its coupling-weighted sum. The
+        ablation's uniform coupling 1/(K K') makes that the row mean over K,
+        so with K = 3 its gradient is a third of the one the plain row mean
+        gives (0.4124), and of the same order as the transport variant's."""
+        table = basis_embedding_table(3)
+        sample = buffer_entries(((0, 1), 1.0), ((1, 2), 1.0), ((2, 2), 1.0))
+        refs = [(0, 1), (1, 1)]
+
+        def norm(variant):
+            config = SilConfig(lambda_sil=1.0, variant=variant)
+            return np.linalg.norm(wsil_d_grad(sample, refs, Policy.tabular(3, 2), table, config))
+
+        assert norm(SilVariant.SIL_D_NOW) == pytest.approx(0.4124 / 3, abs=1e-4)
+        assert norm(SilVariant.WSIL_D) == pytest.approx(0.1925, abs=1e-4)
