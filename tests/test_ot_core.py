@@ -262,6 +262,8 @@ class TestStopTestMatchesEveryIterationCheck:
         (np.random.default_rng(1).uniform(0, 2, (1, 1)), IpotConfig()),
         (np.random.default_rng(1).uniform(0, 2, (1, 9)), IpotConfig()),
         (np.random.default_rng(1).uniform(0, 2, (9, 1)), IpotConfig()),
+        # a single outer step: the loop's first pass is also its last
+        (np.random.default_rng(2).uniform(0, 2, (6, 6)), IpotConfig(outer_iters=1)),
         WITNESS_SETTLES_FIRST,
     ]
     CASES = CONVERGING + CAPPED + EDGES
