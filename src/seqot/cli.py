@@ -43,12 +43,23 @@ _INPUT_ERRORS = (UsageError, ConfigError, DivergedError, EmbeddingError, EmptyCo
                  OSError)
 
 
-def read_corpus(path, lowercase: bool = False) -> list[list[str]]:
-    """Whitespace-tokenized sentences, one per line; blank lines skipped."""
+def _read_text(path) -> str:
+    """The file's UTF-8 text; a file that cannot be read or decoded is a
+    :class:`UsageError` naming it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise UsageError(f"cannot read {path}: line {line} is not UTF-8 (byte {data[exc.start]:#04x})") from None
+
+
+def read_corpus(path, lowercase: bool = False) -> list[list[str]]:
+    """Whitespace-tokenized sentences, one per line; blank lines skipped."""
+    text = _read_text(path)
     if lowercase:
         text = text.lower()
     sentences = [line.split() for line in text.splitlines() if line.strip()]
@@ -232,11 +243,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.config}: {exc.strerror or exc}") from exc
-    setup = build_training_setup(parse_config_text(text))
+    setup = build_training_setup(parse_config_text(_read_text(args.config)))
 
     result = train(setup.env, setup.policy, setup.sil, setup.steps)
 

@@ -1,11 +1,15 @@
 """Token embedding tables, cosine costs, and padded pairwise cost matrices.
 
 Embedding files use the common plain-text layout: a header line ``V d``
-followed by one line per token, ``token x_1 ... x_d``. Parsing is
-locale-independent (ASCII whitespace, ``.`` decimal point). Each table also
-carries the pair-score memo that :func:`seqot.nested.score_matrices` fills;
-this module neither reads nor writes it. The unit rows that cost matrices
-are built from are cached per table, filled on a token's first use.
+followed by one line per token, ``token x_1 ... x_d``. The grammar is
+locale-independent: lines end at ``\n``, ``\r\n`` or ``\r``; fields are
+split on ASCII whitespace; components are ASCII decimal numbers (``.``
+decimal point, no ``_`` digit grouping); tokens are UTF-8. A loaded table
+holds its vectors in one ``rows x d`` array, and each token maps to a
+read-only row of it. Each table also carries the pair-score memo that
+:func:`seqot.nested.score_matrices` fills; this module neither reads nor
+writes it. The unit rows that cost matrices are built from are cached per
+table, filled on a token's first use.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +31,7 @@ logger = logging.getLogger(__name__)
 #: of orthogonal directions, i.e. semantically neutral) and 0.0 against
 #: itself.
 PAD_TOKEN = "<PAD>"
+_PAD_BYTES = PAD_TOKEN.encode()
 PAD_REAL_COST = 1.0
 
 
@@ -41,9 +47,10 @@ class EmbeddingError(Exception):
 
 
 class UnreadableFileError(EmbeddingError):
-    def __init__(self, path, reason: str):
+    def __init__(self, path, reason: str, line: int | None = None):
         super().__init__(f"cannot read embedding file {path!r}: {reason}")
         self.path = path
+        self.line = line
 
 
 class MalformedHeaderError(EmbeddingError):
@@ -153,63 +160,117 @@ def _hash_fallback_vector(token: str, dim: int) -> np.ndarray:
 def load_embeddings(path, oov_policy: OovPolicy = OovPolicy.STRICT) -> EmbeddingTable:
     """Parse a ``V d`` header plus token/vector lines into a table.
 
-    Duplicate tokens keep the last occurrence (a warning is logged). Raises
-    a distinct error naming the offending line for malformed headers, wrong
-    vector arity, non-numeric components, all-zero vectors, and the
-    reserved pad token.
+    One pass parses every row into one ``rows x d`` array, and each token
+    maps to a read-only row of it. Duplicate tokens keep the last occurrence
+    (a warning is logged). Raises a distinct error naming the offending line
+    for bytes that are not UTF-8, malformed headers, wrong vector arity,
+    components that are not finite decimal numbers, all-zero vectors, and
+    the reserved pad token; of several faults, the first in the file.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UnreadableFileError(path, exc.strerror or str(exc)) from exc
-
-    if not lines or not lines[0].strip():
-        raise MalformedHeaderError(1, "empty file or blank header")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedHeaderError(1, f"expected 'V d', got {lines[0]!r}")
-    try:
-        declared, dim = int(head[0]), int(head[1])
-    except ValueError:
-        raise MalformedHeaderError(1, f"expected two integers, got {lines[0]!r}") from None
-    if dim < 1 or declared < 0:
-        raise MalformedHeaderError(1, f"V={declared}, d={dim} out of range")
-
-    entries: dict[str, np.ndarray] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        token = parts[0]
-        if token == PAD_TOKEN:
-            raise ReservedTokenError(lineno)
-        if len(parts) - 1 != dim:
-            raise ArityMismatchError(lineno, dim, len(parts) - 1)
+    if not data.isascii():
         try:
-            vec = np.array([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            bad = next(p for p in parts[1:] if not _is_decimal(p))
-            raise InvalidValueError(lineno, bad) from exc
-        if not np.all(np.isfinite(vec)):
-            raise InvalidValueError(lineno, "non-finite component")
-        if not vec.any():
-            raise ZeroVectorError(lineno, token)
-        if token in entries:
-            logger.warning("duplicate token %r at line %d: last occurrence wins", token, lineno)
-        entries[token] = vec
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start] + b".").splitlines())
+            reason = f"line {line} is not UTF-8 (byte {data[exc.start]:#04x})"
+            raise UnreadableFileError(path, reason, line) from None
+    size, lines = len(data), data.splitlines()
+    del data
+    declared, dim = _header(lines)
+    # A row that passes the arity check spans more than 2 * dim bytes, so no
+    # more rows than this can load: the array never outgrows the file.
+    rows = np.empty((min(len(lines) - 1, size // (2 * dim)), dim))
 
-    if declared != len(entries):
-        logger.warning("header declares %d tokens, file has %d", declared, len(entries))
+    tokens: list[str] = []  # the token and line of each row
+    row_lines: list[int] = []
+    index: dict[str, int] = {}  # token -> its last row, in first-seen order
+    duplicates: list[tuple[str, int]] = []
+    fault = None
+    for lineno, raw in enumerate(islice(lines, 1, None), start=2):
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0] == _PAD_BYTES:
+            fault = ReservedTokenError(lineno)
+            break
+        if len(parts) - 1 != dim:
+            fault = ArityMismatchError(lineno, dim, len(parts) - 1)
+            break
+        values = parts[1:]
+        try:
+            if b"_" in raw and any(b"_" in v for v in values):  # float accepts 1_0
+                raise ValueError
+            rows[len(tokens)] = np.fromiter(map(float, values), float, dim)
+        except ValueError:
+            fault = InvalidValueError(lineno, next(v for v in values if not _is_decimal(v)).decode())
+            break
+        token = parts[0].decode()
+        if token in index:
+            duplicates.append((token, lineno))
+        index[token] = len(tokens)
+        tokens.append(token)
+        row_lines.append(lineno)
+
+    del lines  # the text is parsed; free it before the row views are made
+    # The value checks, on the whole array at once. A row they reject wins
+    # if it comes before the line the loop stopped at.
+    rows = rows[: len(tokens)]
+    finite = np.isfinite(rows).all(axis=1)
+    unusable = ~finite | ~rows.any(axis=1)
+    if unusable.any():
+        row = int(unusable.argmax())
+        if fault is None or row_lines[row] < fault.line:
+            line = row_lines[row]
+            if finite[row]:
+                fault = ZeroVectorError(line, tokens[row])
+            else:
+                fault = InvalidValueError(line, "non-finite component")
+    for token, lineno in duplicates:
+        if fault is not None and lineno >= fault.line:
+            break
+        logger.warning("duplicate token %r at line %d: last occurrence wins", token, lineno)
+    if fault is not None:
+        raise fault
+
+    if declared != len(index):
+        logger.warning("header declares %d tokens, file has %d", declared, len(index))
+    rows.flags.writeable = False
+    entries = {token: rows[row] for token, row in index.items()}
     return EmbeddingTable(dim=dim, entries=entries, oov_policy=oov_policy)
 
 
-def _is_decimal(text: str) -> bool:
+def _header(lines: list[bytes]) -> tuple[int, int]:
+    """``(V, d)`` from the first line."""
+    if not lines or not lines[0].strip():
+        raise MalformedHeaderError(1, "empty file or blank header")
+    text = lines[0].decode()
+    head = lines[0].split()
+    if len(head) != 2:
+        raise MalformedHeaderError(1, f"expected 'V d', got {text!r}")
+    try:
+        if b"_" in lines[0]:  # int accepts 1_0
+            raise ValueError
+        declared, dim = int(head[0]), int(head[1])
+    except ValueError:
+        raise MalformedHeaderError(1, f"expected two integers, got {text!r}") from None
+    if dim < 1 or declared < 0:
+        raise MalformedHeaderError(1, f"V={declared}, d={dim} out of range")
+    return declared, dim
+
+
+def _is_decimal(text: bytes) -> bool:
+    """An ASCII decimal number: what ``float`` parses from bytes, less its
+    ``_`` digit grouping."""
     try:
         float(text)
-        return True
     except ValueError:
         return False
+    return b"_" not in text
 
 
 def resolve(table: EmbeddingTable, tokens: Sequence[str]) -> np.ndarray:

@@ -24,9 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import seq_match
 from .embeddings import EmbeddingTable
 from .ot_core import DEFAULT_IPOT, IpotConfig, TransportPlan, ipot_solve
-from .seq_match import reward_bound, score_pair
+from .seq_match import reward_bound, score_costs, score_pair
 
 
 class EmptySetError(ValueError):
@@ -91,7 +92,7 @@ def score_matrices(
     for i, hyp in enumerate(hyps):
         hyp_key = (len(hyp), *map(sys.intern, hyp))
         for j, ref in enumerate(refs):
-            hit = _lookup(memo, hyp_key + ref_keys[j], table, hyp, ref, config, i, j)
+            hit = _lookup(memo, hyp_key + ref_keys[j], i, j, score_pair, table, hyp, ref, config)
             distances[i, j], rewards[i, j] = hit.real, hit.imag
     return distances, rewards
 
@@ -107,13 +108,13 @@ def best_matches(
     on an exact tie, and that pair's two floats, bit for bit.
 
     Only the pairs whose :func:`reward_bound` can still win are solved.
-    Per hypothesis, every pair's bound is computed first (one cost matrix
-    each, kept for that row only); the references are then solved through
-    the pair-score memo in descending bound order, ties by index, until the
-    next bound is strictly below the best reward found. When the best
-    reference is well separated from the rest, as a paraphrase is, that is
-    one solve per hypothesis; when every bound reaches the best reward,
-    every pair is solved.
+    Per hypothesis, every pair's cost matrix is built and bounded first, and
+    the matrices are kept for that row only; the references are then looked
+    up in the pair-score memo in descending bound order, ties by index, and
+    a miss is solved from its kept matrix, until the next bound is strictly
+    below the best reward found. When the best reference is well separated
+    from the rest, as a paraphrase is, that is one solve per hypothesis;
+    when every bound reaches the best reward, every pair is solved.
     """
     if len(refs) == 0:
         raise EmptySetError("refs")
@@ -122,21 +123,23 @@ def best_matches(
     best = []
     for i, hyp in enumerate(hyps):
         hyp_key = (len(hyp), *map(sys.intern, hyp))
-        bounds = np.empty(len(refs))
+        costs = []
         for j, ref in enumerate(refs):
             try:
-                bounds[j] = reward_bound(table, hyp, ref)
+                # seq_match's binding, the one score_pair builds through
+                costs.append(seq_match.build_cost_matrix(table, hyp, ref))
             except Exception as exc:
                 raise NestedSolveError("inner", i, j) from exc
+        bounds = np.array([reward_bound(cm) for cm in costs])
         top = (-1, math.nan, -math.inf)
         for j in np.argsort(-bounds, kind="stable").tolist():
-            # Leaving a pair unsolved hides no error: the bound pass above
-            # built every cost matrix in row-major order, so a bad token
-            # fails at the (i, j) a full grid would report, and the costs
-            # are finite and in [0, 2], on which ipot_solve cannot raise.
+            # Leaving a pair unsolved hides no error: the loop above built
+            # every cost matrix in row-major order, so a bad token fails at
+            # the (i, j) a full grid would report, and the costs are finite
+            # and in [0, 2], on which ipot_solve cannot raise.
             if bounds[j] < top[2]:
                 break
-            hit = _lookup(memo, hyp_key + ref_keys[j], table, hyp, refs[j], config, i, j)
+            hit = _lookup(memo, hyp_key + ref_keys[j], i, j, score_costs, costs[j], config)
             if hit.imag > top[2] or (hit.imag == top[2] and j < top[0]):
                 top = (j, hit.real, hit.imag)
         best.append(top)
@@ -150,13 +153,14 @@ def _keys(refs: Sequence[Sequence[str]]) -> list[tuple]:
     return [tuple(map(sys.intern, ref)) for ref in refs]
 
 
-def _lookup(memo: dict, key: tuple, table, hyp, ref, config, i: int, j: int) -> complex:
-    """The memo entry for ``key``, solving the pair on a miss. One complex
-    holds both floats exactly, in a third of the space of a 2-tuple."""
+def _lookup(memo: dict, key: tuple, i: int, j: int, solve, *args) -> complex:
+    """The memo entry for ``key``, filled on a miss from ``solve(*args)``.
+    One complex holds both floats exactly, in a third of the space of a
+    2-tuple."""
     hit = memo.get(key)
     if hit is None:
         try:
-            scored = score_pair(table, hyp, ref, config)
+            scored = solve(*args)
         except Exception as exc:
             raise NestedSolveError("inner", i, j) from exc
         hit = memo[key] = complex(scored.distance, scored.reward)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, build_cost_matrix
+from .embeddings import CostMatrix, EmbeddingTable, build_cost_matrix
 from .ot_core import DEFAULT_IPOT, IpotConfig, ipot_solve
 
 
@@ -34,15 +34,19 @@ def score_pair(
     config: IpotConfig = DEFAULT_IPOT,
 ) -> PairScore:
     """Solve the pair once and derive both distance and reward from the plan."""
-    cm = build_cost_matrix(table, hyp, ref)
-    plan = ipot_solve(cm.values, config)
-    reward = float((plan.values * (1.0 - cm.values)).sum())
+    return score_costs(build_cost_matrix(table, hyp, ref), config)
+
+
+def score_costs(costs: CostMatrix, config: IpotConfig = DEFAULT_IPOT) -> PairScore:
+    """:func:`score_pair` from the pair's already built cost matrix."""
+    plan = ipot_solve(costs.values, config)
+    reward = float((plan.values * (1.0 - costs.values)).sum())
     return PairScore(distance=plan.cost, reward=reward)
 
 
-def reward_bound(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) -> float:
-    """An upper bound on ``score_pair(table, hyp, ref, config).reward`` under
-    every solver config, from the cost matrix alone: no solve.
+def reward_bound(costs: CostMatrix) -> float:
+    """An upper bound on the reward :func:`score_costs` gives ``costs``
+    under every solver config: no solve.
 
     Each column of a plan :func:`ipot_solve` returns carries mass at most
     1/L, so ``<T, 1 - C>`` is at most ``(1/L) sum_j max(0, 1 - min_i C_ij)``.
@@ -55,8 +59,6 @@ def reward_bound(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) 
     bound's own L subtractions, sum and division lose at most (L + 2)u.
     Together that is (L^2 + 2L + 8)u, under half the margin.
     """
-    cost = build_cost_matrix(table, hyp, ref).values
-    size = cost.shape[0]
-    gain = np.maximum(1.0 - cost.min(axis=0), 0.0).sum() / size
+    size = costs.values.shape[0]
+    gain = np.maximum(1.0 - costs.values.min(axis=0), 0.0).sum() / size
     return float(gain) + (size + 4) ** 2 * sys.float_info.epsilon
-

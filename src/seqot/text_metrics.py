@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def _ngrams(sentence: Sentence, k: int) -> Counter:
     return Counter(tuple(sentence[i : i + k]) for i in range(len(sentence) - k + 1))
 
 
-def _closest_ref_len(hyp_len: int, ref_lens: Sequence[int]) -> int:
+def _closest_ref_len(hyp_len: int, ref_lens: Iterable[int]) -> int:
     # standard "best match length": closest reference length, ties -> shorter
     return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
 
@@ -84,10 +84,11 @@ def corpus_bleu(hyps: Sequence[Sentence], refs: Sequence[Sentence], order: int) 
     total = [0] * order
     hyp_len_sum = 0
     ref_len_sum = 0
-    ref_lens = [len(r) for r in refs]
+    ref_lens = {len(r) for r in refs}
+    closest_ref_len = {n: _closest_ref_len(n, ref_lens) for n in {len(h) for h in hyps}}
     for hyp in hyps:
         hyp_len_sum += len(hyp)
-        ref_len_sum += _closest_ref_len(len(hyp), ref_lens)
+        ref_len_sum += closest_ref_len[len(hyp)]
         for k in range(1, order + 1):
             counts = _ngrams(hyp, k)
             table = max_counts[k - 1]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqot import IpotConfig, load_embeddings
+from seqot import IpotConfig, load_embeddings, seq_match
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
@@ -32,19 +32,37 @@ def fixtures_dir():
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """``count_solves(module_name)`` wraps the ``score_pair`` binding of that
-    module and returns the list of (hyp, ref) pairs it goes on to solve."""
+    """``count_solves(module_name)`` returns the list of (hyp, ref) pairs that
+    module goes on to solve: through its ``score_pair`` binding, or through
+    its ``score_costs`` binding on a matrix ``seq_match.build_cost_matrix``
+    built."""
 
     def install(module_name: str) -> list:
         module = importlib.import_module(module_name)
-        original = module.score_pair
         solved = []
+        built = {}  # id of each built matrix -> (the matrix, its pair)
+        original_pair = module.score_pair
+        original_build = seq_match.build_cost_matrix
 
-        def counting(table, hyp, ref, *args, **kwargs):
+        def counting_pair(table, hyp, ref, *args, **kwargs):
             solved.append((tuple(hyp), tuple(ref)))
-            return original(table, hyp, ref, *args, **kwargs)
+            return original_pair(table, hyp, ref, *args, **kwargs)
 
-        monkeypatch.setattr(module, "score_pair", counting)
+        def recording_build(table, hyp, ref):
+            costs = original_build(table, hyp, ref)
+            built[id(costs)] = (costs, (tuple(hyp), tuple(ref)))
+            return costs
+
+        monkeypatch.setattr(module, "score_pair", counting_pair)
+        monkeypatch.setattr(seq_match, "build_cost_matrix", recording_build)
+        if hasattr(module, "score_costs"):
+            original_costs = module.score_costs
+
+            def counting_costs(costs, *args, **kwargs):
+                solved.append(built[id(costs)][1])
+                return original_costs(costs, *args, **kwargs)
+
+            monkeypatch.setattr(module, "score_costs", counting_costs)
         return solved
 
     return install

@@ -500,3 +500,52 @@ def test_each_key_reaches_the_field_it_names(key):
     with_key = configfile.build_training_setup({**REQUIRED_KEYS, **needs, key: raw})
     assert probe(without) != expected
     assert probe(with_key) == expected
+
+
+class TestUnreadableInput:
+    """Bad bytes in any input file exit 2 with an ``error:`` line naming the
+    file and line, never an internal error."""
+
+    @pytest.mark.parametrize("kind", ["table", "hypotheses", "references"])
+    def test_score_input_not_utf8(self, capsys, tmp_path, kind):
+        files = {"table": b"2 2\na 1 0\nb 0 1\n", "hypotheses": b"a b\n", "references": b"b a\n"}
+        files[kind] = files[kind].replace(b"b", b"b\xff", 1)
+        paths = {}
+        for name, data in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_bytes(data)
+        argv = ["score", str(paths["hypotheses"]), str(paths["references"]), "--embeddings", str(paths["table"])]
+        code, out, err = run_cli(capsys, *argv)
+        line = 3 if kind == "table" else 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ") and str(paths[kind]) in err
+        assert f"line {line} is not UTF-8 (byte 0xff)" in err
+
+    def test_metrics_corpus_not_utf8(self, capsys, tmp_path):
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_bytes(b"a b\nc \xff d\n")
+        ref.write_text("a b\n")
+        code, _, err = run_cli(capsys, "metrics", str(hyp), str(ref))
+        assert code == 2
+        assert err == f"error: cannot read {hyp}: line 2 is not UTF-8 (byte 0xff)\n"
+
+    def test_train_config_not_utf8(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"steps = 5\n# \xff\n")
+        code, _, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"error: cannot read {config}: line 2 is not UTF-8 (byte 0xff)\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("a\u00a01 0", "line 3: expected 2 vector components, got 1"),
+        ("a \u0661 0", "line 3: not a decimal number: '\u0661'"),
+        ("a 1_0 1", "line 3: not a decimal number: '1_0'"),
+        ("a 1 0\x0cc 0 1", "line 3: expected 2 vector components, got 5"),
+    ], ids=["no-break-space", "arabic-indic-digit", "underscore", "form-feed"])
+    def test_table_outside_the_grammar_names_its_line(self, capsys, tmp_path, corpora, row, message):
+        table = tmp_path / "e.txt"
+        table.write_bytes(f"2 2\nb 0 1\n{row}\n".encode())
+        hyp, ref = corpora
+        code, _, err = run_cli(capsys, "score", hyp, ref, "--embeddings", str(table))
+        assert (code, err) == (2, f"error: {message}\n")

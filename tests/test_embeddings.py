@@ -11,6 +11,7 @@ from seqot.embeddings import (
     PAD_TOKEN,
     ArityMismatchError,
     DegenerateVectorError,
+    EmbeddingError,
     EmbeddingTable,
     InvalidValueError,
     MalformedHeaderError,
@@ -43,6 +44,212 @@ def per_call_cost_matrix(table, hyp, ref):
     same = np.array([[h == r for r in ref] for h in hyp])
     values[:n, :m][same] = 0.0
     return values
+
+
+def per_line_load(path):
+    """The loader before the one-array pass, under the documented grammar:
+    bytes split into lines at \\n, \\r\\n or \\r and into fields at
+    ASCII whitespace, ``float`` on each component with no ``_``, then one
+    array and three checks per line. Returns ``(dim, entries, warnings)``;
+    the one-pass loader must match it, error for error."""
+    lines = path.read_bytes().splitlines()
+    if not lines or not lines[0].strip():
+        raise MalformedHeaderError(1, "empty file or blank header")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise MalformedHeaderError(1, f"expected 'V d', got {lines[0].decode()!r}")
+    try:
+        if b"_" in lines[0]:
+            raise ValueError
+        declared, dim = int(head[0]), int(head[1])  # bytes: ASCII digits only
+    except ValueError:
+        raise MalformedHeaderError(1, f"expected two integers, got {lines[0].decode()!r}") from None
+    if dim < 1 or declared < 0:
+        raise MalformedHeaderError(1, f"V={declared}, d={dim} out of range")
+
+    entries, warnings = {}, []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        token = parts[0].decode()
+        if token == PAD_TOKEN:
+            raise ReservedTokenError(lineno)
+        if len(parts) - 1 != dim:
+            raise ArityMismatchError(lineno, dim, len(parts) - 1)
+        if not all(_ascii_decimal(p) for p in parts[1:]):
+            bad = next(p for p in parts[1:] if not _ascii_decimal(p))
+            raise InvalidValueError(lineno, bad.decode())
+        vec = np.array([float(p) for p in parts[1:]])
+        if not np.all(np.isfinite(vec)):
+            raise InvalidValueError(lineno, "non-finite component")
+        if not vec.any():
+            raise ZeroVectorError(lineno, token)
+        if token in entries:
+            warnings.append(f"duplicate token {token!r} at line {lineno}: last occurrence wins")
+        entries[token] = vec
+    if declared != len(entries):
+        warnings.append(f"header declares {declared} tokens, file has {len(entries)}")
+    return dim, entries, warnings
+
+
+def _ascii_decimal(text: bytes) -> bool:
+    if b"_" in text:
+        return False
+    try:
+        float(text)  # bytes: ASCII only, unlike str
+    except ValueError:
+        return False
+    return True
+
+
+TOKENS = ["a", "b", "c", "new_york", "na\u00efve", "\u65e5\u672c"]
+COMPONENTS = ["1", "-2.5", "0", "-0.0", "1e-200", "3.25e2", ".5", "+7", "1E3"]
+# each fault rewrites one row's fields
+FAULTS = {
+    "pad": lambda fields, draw: [PAD_TOKEN, *fields[1:]],
+    "short": lambda fields, draw: fields[: max(len(fields) - 1, 1)],
+    "long": lambda fields, draw: [*fields, "1"],
+    "bad": lambda fields, draw: _replace(fields, draw, ["oops", "1_0", "\u0661", "1\u00a00", "0x1p3", "1,5"]),
+    "nonfinite": lambda fields, draw: _replace(fields, draw, ["nan", "inf", "-inf", "1e999", "NaN"]),
+    "zero": lambda fields, draw: [fields[0], *["0"] * (len(fields) - 1)],
+}
+
+
+def _replace(fields, draw, values):
+    at = draw(st.integers(1, max(len(fields) - 1, 1)))  # appended to a row with no components
+    return [*fields[:at], draw(st.sampled_from(values)), *fields[at + 1 :]]
+
+
+@st.composite
+def table_files(draw):
+    """The bytes of a table file: valid rows, blank lines, duplicate tokens,
+    a declared count that may be off, mixed line ends and field separators,
+    and zero, one or two faults on random rows."""
+    dim = draw(st.integers(1, 4))
+    rows = [
+        [draw(st.sampled_from(TOKENS)), *draw(st.lists(st.sampled_from(COMPONENTS), min_size=dim, max_size=dim))]
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = FAULTS[draw(st.sampled_from(sorted(FAULTS)))](rows[at], draw)
+    lines = [draw(st.sampled_from([" ", "\t", " \x0c", "\x0b "])).join(fields) for fields in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    declared = len({fields[0] for fields in rows}) + draw(st.sampled_from([0, 0, 1, -1]))
+    text = f"{declared} {dim}"
+    for line in lines:
+        text += draw(st.sampled_from(["\n", "\r\n", "\r"])) + line
+    return (text + draw(st.sampled_from(["", "\n"]))).encode()
+
+
+class TestOnePassLoad:
+    @settings(max_examples=400, deadline=None)
+    @given(table_files())
+    def test_matches_the_per_line_loader(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("emb") / "e.txt"
+        path.write_bytes(data)
+        logger = logging.getLogger("seqot.embeddings")
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger.addHandler(handler)
+        try:
+            expected = per_line_load(path)
+        except EmbeddingError as exc:
+            with pytest.raises(type(exc)) as err:
+                load_embeddings(path)
+            assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+            return
+        else:
+            table = load_embeddings(path)
+        finally:
+            logger.removeHandler(handler)
+        dim, entries, warnings = expected
+        assert table.dim == dim
+        assert table.tokens() == list(entries)
+        assert all(table.vector(t).tobytes() == v.tobytes() for t, v in entries.items())
+        assert [r.getMessage() for r in records] == warnings
+
+    def test_rows_are_read_only_views_of_one_array(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("3 2\na 1 0\nb 0 1\na 2 2\n")
+        table = load_embeddings(path)
+        a, b = table.vector("a"), table.vector("b")
+        assert a.base is b.base and a.base.shape == (3, 2)
+        assert np.array_equal(a, [2.0, 2.0])
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+
+    def test_an_earlier_zero_row_wins_over_a_later_arity_fault(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("3 2\na 1 0\nb 0 0\nc 1\n")
+        with pytest.raises(ZeroVectorError) as err:
+            load_embeddings(path)
+        assert err.value.line == 3
+
+    def test_a_huge_declared_dim_fails_at_the_first_row(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("1 1000000000000\na 1 0\n")
+        with pytest.raises(ArityMismatchError) as err:
+            load_embeddings(path)
+        assert (err.value.line, err.value.got) == (2, 2)
+
+
+class TestGrammar:
+    """Fields split on ASCII whitespace only, lines end at \\n, \\r\\n or
+    \\r only, components are ASCII decimal numbers without ``_``, and tokens
+    are UTF-8."""
+
+    def load(self, tmp_path, data: bytes):
+        path = tmp_path / "e.txt"
+        path.write_bytes(data)
+        return load_embeddings(path)
+
+    def test_no_break_space_does_not_split_fields(self, tmp_path):
+        with pytest.raises(ArityMismatchError) as err:
+            self.load(tmp_path, "2 2\nb 0 1\na\u00a01 0\n".encode())
+        assert (err.value.line, err.value.got) == (3, 1)
+
+    def test_non_ascii_digit_is_not_a_number(self, tmp_path):
+        with pytest.raises(InvalidValueError) as err:
+            self.load(tmp_path, "1 2\na \u0661 0\n".encode())
+        assert (err.value.line, err.value.value) == (2, "\u0661")
+
+    def test_underscore_grouping_is_not_a_number(self, tmp_path):
+        with pytest.raises(InvalidValueError) as err:
+            self.load(tmp_path, b"1 2\nnew_york 1_0 1\n")
+        assert (err.value.line, err.value.value) == (2, "1_0")
+        with pytest.raises(MalformedHeaderError):
+            self.load(tmp_path, b"1 1_0\na 1 0 0 0 0 0 0 0 0 0\n")
+
+    def test_form_feed_separates_fields_but_does_not_end_a_line(self, tmp_path):
+        assert self.load(tmp_path, b"1 2\na\x0c1\x0b0\n").tokens() == ["a"]
+        with pytest.raises(ArityMismatchError) as err:
+            self.load(tmp_path, b"2 2\na 1 0\x0cb 0 1\n")
+        assert (err.value.line, err.value.got) == (2, 5)
+
+    def test_cr_and_crlf_end_lines(self, tmp_path):
+        assert self.load(tmp_path, b"2 2\r\na 1 0\rb 0 1\r\n").tokens() == ["a", "b"]
+        with pytest.raises(ZeroVectorError) as err:
+            self.load(tmp_path, b"2 2\r\na 1 0\rb 0 0\r\n")
+        assert err.value.line == 3
+
+    def test_utf8_tokens_load(self, tmp_path):
+        table = self.load(tmp_path, "2 2\nna\u00efve 1 0\n\u65e5\u672c 0 1\n".encode())
+        assert table.tokens() == ["na\u00efve", "\u65e5\u672c"]
+
+    @pytest.mark.parametrize("data, line", [
+        (b"2 2\na 1 0\nb\xff 0 1\n", 3),
+        (b"2 2\ra 1 0\r\xc3 0 1\n", 3),
+        (b"2\xa0 2\na 1 0\n", 1),
+    ], ids=["token", "after-cr", "header"])
+    def test_not_utf8_names_the_file_and_line(self, tmp_path, data, line):
+        with pytest.raises(UnreadableFileError) as err:
+            self.load(tmp_path, data)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"cannot read embedding file {tmp_path / 'e.txt'!r}: line {line} ")
 
 
 class TestLoad:

@@ -199,6 +199,10 @@ def continuous_table(seed: int, size: int = 40, dim: int = 3) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, entries={f"t{i}": row for i, row in enumerate(rows)})
 
 
+def bound(table, hyp, ref):
+    return reward_bound(build_cost_matrix(table, hyp, ref))
+
+
 BOUND_TABLES = {"continuous": continuous_table(0), "basis": basis_embedding_table(12)}
 
 
@@ -238,7 +242,7 @@ class TestRewardBound:
         assert plan.values.sum(axis=0).max() <= (1.0 + (2 * size + 8) * eps) / size
         reward = float((plan.values * (1.0 - cost)).sum())
         assert reward == score_pair(table, hyp, ref, config).reward
-        assert reward <= reward_bound(table, hyp, ref)
+        assert reward <= bound(table, hyp, ref)
 
     def test_the_margin_covers_a_reward_rounded_past_one(self):
         # an identical pair: the bound before its margin is exactly 1.0, and
@@ -247,12 +251,12 @@ class TestRewardBound:
         seq = ["4", "0", "3", "1", "4"]
         reward = score_pair(table, seq, seq, IpotConfig(gamma=0.01, outer_iters=20)).reward
         assert reward > 1.0
-        assert reward_bound(table, seq, seq) == 1.0 + 9**2 * sys.float_info.epsilon
+        assert bound(table, seq, seq) == 1.0 + 9**2 * sys.float_info.epsilon
 
     def test_pads_do_not_raise_the_bound(self, ortho_table):
         # "a" matches one of the three reference columns; the pads match none
-        assert reward_bound(ortho_table, ["a"], ["b", "a", "c"]) == pytest.approx(1 / 3, abs=1e-12)
-        assert reward_bound(ortho_table, ["a"], ["b", "c", "d"]) == pytest.approx(0.0, abs=1e-12)
+        assert bound(ortho_table, ["a"], ["b", "a", "c"]) == pytest.approx(1 / 3, abs=1e-12)
+        assert bound(ortho_table, ["a"], ["b", "c", "d"]) == pytest.approx(0.0, abs=1e-12)
 
 
 def argmax_matches(table, hyps, refs, config=IpotConfig()):
@@ -303,7 +307,7 @@ class TestBestMatches:
         # both rewards are exactly 0.0; the longer reference's margin gives
         # it the higher bound, so it is solved first and then loses the tie
         refs = [["b"], ["b", "c"]]
-        assert reward_bound(ortho_table, ["a"], refs[1]) > reward_bound(ortho_table, ["a"], refs[0])
+        assert bound(ortho_table, ["a"], refs[1]) > bound(ortho_table, ["a"], refs[0])
         matches = best_matches(ortho_table, [["a"]], refs)
         assert count_inner_solves == [(("a",), ("b", "c")), (("a",), ("b",))]
         assert matches[0][0] == 0 and matches[0][2] == 0.0

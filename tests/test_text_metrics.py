@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from seqot.text_metrics import (
     BleuReport,
     EmptyCorpusError,
     TooFewSentencesError,
+    _bleu,
     corpus_bleu,
     f1_bleu,
     naive_semantic_score,
@@ -69,6 +71,41 @@ class TestCorpusBleu:
         for order in (2, 3):
             value = corpus_bleu(rng_sentences, REFS + rng_sentences, order)
             assert 0.0 <= value <= 1.0
+
+
+def brute_force_bleu(hyps, refs, order):
+    """Corpus BLEU with each hypothesis's closest reference length found by
+    scanning every reference, ties to the shorter."""
+    matched, total = [0] * order, [0] * order
+    for k in range(1, order + 1):
+        limits = Counter()
+        for ref in refs:
+            limits |= Counter(tuple(ref[i : i + k]) for i in range(len(ref) - k + 1))
+        for hyp in hyps:
+            counts = Counter(tuple(hyp[i : i + k]) for i in range(len(hyp) - k + 1))
+            matched[k - 1] += sum((counts & limits).values())
+            total[k - 1] += max(len(hyp) - k + 1, 0)
+    ref_len = sum(min((abs(len(r) - len(h)), len(r)) for r in refs)[1] for h in hyps)
+    return _bleu(list(zip(matched, total)), sum(map(len, hyps)), ref_len, order)
+
+
+class TestCorpusBleuBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 5]))
+    def test_equals_the_per_hypothesis_scan_with_tied_lengths(self, seed, order):
+        # reference lengths 2, 4 and 6 leave hypothesis lengths 3 and 5 tied
+        # between two of them; three tokens keep n-gram matches frequent
+        rng = np.random.default_rng(seed)
+        vocab = ["a", "b", "c"]
+        refs = [list(rng.choice(vocab, rng.choice([2, 4, 6]))) for _ in range(rng.integers(1, 12))]
+        hyps = [list(rng.choice(vocab, rng.integers(1, 8))) for _ in range(rng.integers(1, 12))]
+        assert corpus_bleu(hyps, refs, order) == brute_force_bleu(hyps, refs, order)
+
+    def test_ties_take_the_shorter_length(self):
+        # length 3 sits between references of 2 and 4: r = 2, so no penalty
+        hyps = [["a", "b", "c"]]
+        refs = [["a", "b"], ["b", "c", "a", "b"]]
+        assert corpus_bleu(hyps, refs, 2) == brute_force_bleu(hyps, refs, 2) == math.sqrt(3 / 3 * 2 / 2)
 
 
 class TestSelfBleu:
