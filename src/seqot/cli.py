@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .configfile import ConfigError, build_training_setup, parse_config_text
-from .embeddings import EmbeddingError, OovPolicy, load_embeddings
+from .embeddings import EmbeddingError, OovPolicy, load_embeddings, read_input
 from .manifest import build_manifest
 from .nested import NestedSolveError, best_matches, nested_wasserstein, score_matrices
 from .ot_core import IpotConfig
@@ -43,26 +43,12 @@ _INPUT_ERRORS = (UsageError, ConfigError, DivergedError, EmbeddingError, EmptyCo
                  OSError)
 
 
-def _read_text(path) -> str:
-    """The file's UTF-8 text; a file that cannot be read or decoded is a
-    :class:`UsageError` naming it."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        raise UsageError(f"cannot read {path}: line {line} is not UTF-8 (byte {data[exc.start]:#04x})") from None
-
-
 def read_corpus(path, lowercase: bool = False) -> list[list[str]]:
-    """Whitespace-tokenized sentences, one per line; blank lines skipped."""
-    text = _read_text(path)
-    if lowercase:
-        text = text.lower()
-    sentences = [line.split() for line in text.splitlines() if line.strip()]
+    """One sentence per line, split into tokens as a table row is split into
+    fields (see :func:`seqot.embeddings.read_input`); blank lines skipped."""
+    # one decode per line, of its tokens joined at single spaces (no token holds one)
+    lines = (b" ".join(line.split()).decode() for line in read_input(path).splitlines())
+    sentences = [(text.lower() if lowercase else text).split(" ") for text in lines if text]
     if not sentences:
         raise UsageError(f"{path}: no sentences found")
     return sentences
@@ -243,7 +229,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    setup = build_training_setup(parse_config_text(_read_text(args.config)))
+    setup = build_training_setup(parse_config_text(read_input(args.config).decode()))
 
     result = train(setup.env, setup.policy, setup.sil, setup.steps)
 

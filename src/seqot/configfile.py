@@ -26,8 +26,9 @@ class ConfigError(ValueError):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, as in every input file."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

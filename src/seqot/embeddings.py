@@ -1,10 +1,12 @@
 """Token embedding tables, cosine costs, and padded pairwise cost matrices.
 
-Embedding files use the common plain-text layout: a header line ``V d``
-followed by one line per token, ``token x_1 ... x_d``. The grammar is
-locale-independent: lines end at ``\n``, ``\r\n`` or ``\r``; fields are
-split on ASCII whitespace; components are ASCII decimal numbers (``.``
-decimal point, no ``_`` digit grouping); tokens are UTF-8. A loaded table
+Every input file (table, corpus or config) is read by :func:`read_input`,
+which owns the one text grammar: the file is UTF-8, lines end at ``\\n``,
+``\\r\\n`` or ``\\r`` (``bytes.splitlines``), and a table row or a corpus
+line splits into fields at ASCII whitespace (``bytes.split``). Embedding
+files use the common plain-text layout: a header line ``V d`` followed by
+one line per token, ``token x_1 ... x_d``, whose components are ASCII
+decimal numbers (``.`` decimal point, no ``_`` digit grouping). A loaded table
 holds its vectors in one ``rows x d`` array, and each token maps to a
 read-only row of it. Each table also carries the pair-score memo that
 :func:`seqot.nested.score_matrices` fills; this module neither reads nor
@@ -48,7 +50,7 @@ class EmbeddingError(Exception):
 
 class UnreadableFileError(EmbeddingError):
     def __init__(self, path, reason: str, line: int | None = None):
-        super().__init__(f"cannot read embedding file {path!r}: {reason}")
+        super().__init__(f"cannot read {path}: {reason}")
         self.path = path
         self.line = line
 
@@ -82,8 +84,9 @@ class ZeroVectorError(EmbeddingError):
 
 
 class ReservedTokenError(EmbeddingError):
-    def __init__(self, line: int):
-        super().__init__(f"line {line}: {PAD_TOKEN!r} is reserved and may not appear in a table")
+    def __init__(self, line: int | None = None):  # None: in a sequence to be scored
+        prefix, where = ("", "a sequence") if line is None else (f"line {line}: ", "a table")
+        super().__init__(f"{prefix}{PAD_TOKEN!r} is reserved and may not appear in {where}")
         self.line = line
 
 
@@ -98,7 +101,7 @@ class DegenerateVectorError(EmbeddingError):
         super().__init__("zero-norm input: cosine cost undefined")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Immutable token -> d-dimensional vector map, plus its two caches.
 
@@ -118,8 +121,8 @@ class EmbeddingTable:
     dim: int
     entries: dict[str, np.ndarray]
     oov_policy: OovPolicy = OovPolicy.STRICT
-    pair_scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    unit_rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    pair_scores: dict = field(default_factory=dict, init=False, repr=False)
+    unit_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -134,7 +137,7 @@ class EmbeddingTable:
     def vector(self, token: str) -> np.ndarray:
         """Vector for ``token``, applying the table's OOV policy."""
         if token == PAD_TOKEN:
-            raise ReservedTokenError(0)
+            raise ReservedTokenError()
         hit = self.entries.get(token)
         if hit is not None:
             return hit
@@ -157,16 +160,10 @@ def _hash_fallback_vector(token: str, dim: int) -> np.ndarray:
     return _unit_rows(rng.standard_normal(dim))
 
 
-def load_embeddings(path, oov_policy: OovPolicy = OovPolicy.STRICT) -> EmbeddingTable:
-    """Parse a ``V d`` header plus token/vector lines into a table.
-
-    One pass parses every row into one ``rows x d`` array, and each token
-    maps to a read-only row of it. Duplicate tokens keep the last occurrence
-    (a warning is logged). Raises a distinct error naming the offending line
-    for bytes that are not UTF-8, malformed headers, wrong vector arity,
-    components that are not finite decimal numbers, all-zero vectors, and
-    the reserved pad token; of several faults, the first in the file.
-    """
+def read_input(path) -> bytes:
+    """The bytes of an input file, checked to be UTF-8. A file that cannot
+    be read, or is not UTF-8, raises :class:`UnreadableFileError` naming it
+    and, for bad bytes, their line as ``bytes.splitlines`` counts it."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -179,6 +176,20 @@ def load_embeddings(path, oov_policy: OovPolicy = OovPolicy.STRICT) -> Embedding
             line = len((data[: exc.start] + b".").splitlines())
             reason = f"line {line} is not UTF-8 (byte {data[exc.start]:#04x})"
             raise UnreadableFileError(path, reason, line) from None
+    return data
+
+
+def load_embeddings(path, oov_policy: OovPolicy = OovPolicy.STRICT) -> EmbeddingTable:
+    """Parse a ``V d`` header plus token/vector lines into a table.
+
+    One pass parses every row into one ``rows x d`` array, and each token
+    maps to a read-only row of it. Duplicate tokens keep the last occurrence
+    (a warning is logged). Raises a distinct error naming the offending line
+    for bytes that are not UTF-8, malformed headers, wrong vector arity,
+    components that are not finite decimal numbers, all-zero vectors, and
+    the reserved pad token; of several faults, the first in the file.
+    """
+    data = read_input(path)
     size, lines = len(data), data.splitlines()
     del data
     declared, dim = _header(lines)
@@ -217,19 +228,16 @@ def load_embeddings(path, oov_policy: OovPolicy = OovPolicy.STRICT) -> Embedding
         row_lines.append(lineno)
 
     del lines  # the text is parsed; free it before the row views are made
-    # The value checks, on the whole array at once. A row they reject wins
-    # if it comes before the line the loop stopped at.
+    # The value checks, on the whole array at once. The loop stops at the
+    # first structural fault, so every row lies before it: a row they reject
+    # is the first fault in the file.
     rows = rows[: len(tokens)]
     finite = np.isfinite(rows).all(axis=1)
     unusable = ~finite | ~rows.any(axis=1)
     if unusable.any():
         row = int(unusable.argmax())
-        if fault is None or row_lines[row] < fault.line:
-            line = row_lines[row]
-            if finite[row]:
-                fault = ZeroVectorError(line, tokens[row])
-            else:
-                fault = InvalidValueError(line, "non-finite component")
+        line = row_lines[row]
+        fault = ZeroVectorError(line, tokens[row]) if finite[row] else InvalidValueError(line, "non-finite component")
     for token, lineno in duplicates:
         if fault is not None and lineno >= fault.line:
             break
@@ -301,7 +309,7 @@ def cosine_cost(za: Sequence[float], zb: Sequence[float]) -> float:
     return float(np.clip(1.0 - _unit_rows(a) @ _unit_rows(b), 0.0, 2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Square pairwise cosine-cost matrix over two padded token sequences.
 

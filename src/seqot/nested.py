@@ -46,7 +46,7 @@ class NestedSolveError(Exception):
         self.j = j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestedResult:
     """All artifacts of one set-vs-set solve.
 

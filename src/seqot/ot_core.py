@@ -57,7 +57,7 @@ class IpotConfig:
 DEFAULT_IPOT = IpotConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """Nonnegative coupling with uniform marginals and its transport cost.
 

@@ -45,7 +45,7 @@ def basis_embedding_table(vocab_size: int) -> EmbeddingTable:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovOracle:
     """Known first-order chain assigning an exact log probability to sequences."""
 
@@ -88,7 +88,7 @@ class MarkovOracle:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ToyEnv:
     """Fixed-horizon token environment with a terminal scalar reward.
 

@@ -28,7 +28,7 @@ class PolicyKind(str, Enum):
     LINEAR = "linear"
 
 
-@dataclass
+@dataclass(eq=False)
 class Policy:
     """Flat-parameter softmax policy; ``params`` must stay finite. Only
     ``num_params``, ``logit_rows`` and ``feature_rows`` read ``kind``."""

@@ -2,11 +2,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from seqot import configfile
-from seqot.cli import main
+from seqot.cli import main, read_corpus
+from seqot.embeddings import load_embeddings
 from seqot.sil_rl.buffer import BufferCriterion
 from seqot.sil_rl.config import BaselineMode, SilVariant
 from seqot.sil_rl.envs import MarkovOracle, RewardKind
@@ -549,3 +552,116 @@ class TestUnreadableInput:
         hyp, ref = corpora
         code, _, err = run_cli(capsys, "score", hyp, ref, "--embeddings", str(table))
         assert (code, err) == (2, f"error: {message}\n")
+
+
+# Characters that Python's str.split or str.splitlines break on but the input
+# grammar keeps inside a token, and the ASCII whitespace that separates tokens.
+IN_TOKEN = ["\u00a0", "\u2028", "\u0085", "\x1c", "\x1d", "\x1e", "\x1f"]
+SEPARATORS = [" ", "\t", "\x0b", "\x0c"]
+
+
+@st.composite
+def grammar_lines(draw):
+    """Table rows ``token 1 0`` whose tokens hold ``IN_TOKEN`` characters
+    and upper-case letters, joined by ASCII whitespace runs, with blank lines
+    between them; returns ``(lines, tokens)``."""
+    letters = st.sampled_from(["a", "B", "\u00c4", "\u0130", "\u03a3", *IN_TOKEN])
+    separator = st.text(st.sampled_from(SEPARATORS), min_size=1, max_size=3)
+    lines, tokens = [], []
+    for index in range(draw(st.integers(1, 6))):
+        token = draw(st.text(letters, min_size=1, max_size=6)) + str(index)  # distinct tokens
+        fields = [token, "1", "0"]
+        lead, trail = draw(st.sampled_from(["", " ", "\x0c"])), draw(st.sampled_from(["", "\t", "\x0b"]))
+        lines.append(lead + "".join(f + draw(separator) for f in fields[:-1]) + fields[-1] + trail)
+        tokens.append(token)
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(st.sampled_from(["", " ", "\x0c\x0b"])))
+    return lines, tokens
+
+
+class TestOneGrammar:
+    """Tables, corpora and configs split text the same way: lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r``, and tokens split at ASCII whitespace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grammar_lines(), st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=8, max_size=8))
+    def test_a_corpus_splits_as_a_table_does(self, tmp_path_factory, lines_and_tokens, ends):
+        lines, tokens = lines_and_tokens
+        body = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        folder = tmp_path_factory.mktemp("grammar")
+        table, corpus, lowered = folder / "e.txt", folder / "c.txt", folder / "lower.txt"
+        table.write_bytes(f"{len(tokens)} 2\n{body}".encode())
+        corpus.write_bytes(body.encode())
+        lowered.write_bytes(body.lower().encode())
+
+        sentences = read_corpus(corpus)
+        assert sentences == [[token, "1", "0"] for token in tokens]
+        assert [sentence[0] for sentence in sentences] == load_embeddings(table).tokens()
+        lower = [[t.lower() for t in sentence] for sentence in sentences]
+        assert read_corpus(corpus, lowercase=True) == lower == read_corpus(lowered)
+
+    @pytest.mark.parametrize("prefix, line", [
+        (b"a\x0cb\nc\n", 3),
+        ("a\u2028b\x1cc\u0085d\r\ne\rf\n".encode(), 4),
+        ("x\u00a0y\x0b\n\n\r\n".encode(), 4),
+    ], ids=["form-feed", "unicode-separators", "blank-lines"])
+    @pytest.mark.parametrize("kind", ["table", "score-corpus", "metrics-corpus", "config"])
+    def test_a_bad_byte_gets_one_line_number(self, capsys, tmp_path, corpora, prefix, line, kind):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(prefix + b"z\xff\n")
+        hyp, ref = corpora
+        argv = {
+            "table": ["score", hyp, ref, "--embeddings", str(bad)],
+            "score-corpus": ["score", str(bad), ref, "--embeddings", ORTHO],
+            "metrics-corpus": ["metrics", hyp, str(bad)],
+            "config": ["train", str(bad), "--out", str(tmp_path / "out")],
+        }[kind]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {bad}: line {line} is not UTF-8 (byte 0xff)\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--corpus"]], ids=["pairwise", "corpus"])
+    def test_a_token_with_a_no_break_space_scores_as_any_other(self, capsys, tmp_path, mode):
+        payloads = []
+        for name in ("new\u00a0york", "newyork"):
+            folder = tmp_path / str(len(payloads))
+            folder.mkdir()
+            table, hyp, ref = folder / "e.txt", folder / "h.txt", folder / "r.txt"
+            table.write_text(f"3 3\n{name} 1 0.5 0\nb 0 1 0\nc 0.2 0 1\n", encoding="utf-8")
+            hyp.write_text(f"{name} b\nb c\n", encoding="utf-8")
+            ref.write_text(f"c b\n{name} c b\n", encoding="utf-8")
+            code, out, err = run_cli(capsys, "score", str(hyp), str(ref), *mode, "--embeddings", str(table))
+            assert (code, err) == (0, "")
+            payloads.append(json.loads(out))
+        renamed, ascii_copy = payloads
+        assert renamed["pairs"] == ascii_copy["pairs"]
+        assert renamed["mean_reward"] == ascii_copy["mean_reward"]
+
+    def test_config_lines_end_only_at_line_ends(self):
+        text = "steps = 5\r\nvocab_size = 3\rhorizon = 2\n# a\u2028seed = 9\nk = 2\x0c\n"
+        assert configfile.parse_config_text(text) == {"steps": "5", "vocab_size": "3", "horizon": "2", "k": "2"}
+        with pytest.raises(configfile.ConfigError, match="line 2: expected 'key = value'"):
+            configfile.parse_config_text("steps = 5\x0cjunk\rseed\n")
+
+
+class TestReservedPadToken:
+    """``<PAD>`` in a sequence to be scored exits 2 naming the token, with no
+    line number and no mention of a table."""
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "{hyp}", "{ref}"],
+        ["score", "{hyp}", "{ref}", "--corpus"],
+        ["score", "{hyp}", "{ref}", "--oov", "hash"],
+        ["nested", "{hyp}", "{ref}"],
+        ["compare", "{ref}", "{hyp}"],
+    ], ids=["score", "score-corpus", "score-hash", "nested", "compare"])
+    def test_pad_in_a_corpus_names_the_token(self, capsys, tmp_path, argv):
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_text("a <PAD>\n")
+        ref.write_text("a b\n")
+        argv = [arg.format(hyp=hyp, ref=ref) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--embeddings", ORTHO)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.endswith("'<PAD>' is reserved and may not appear in a sequence\n")
+        assert "line" not in err and "table" not in err

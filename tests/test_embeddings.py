@@ -26,8 +26,12 @@ from seqot.embeddings import (
     load_embeddings,
     resolve,
 )
+from seqot.nested import nested_wasserstein
+from seqot.ot_core import IpotConfig, ipot_solve
+from seqot.sil_rl.envs import MarkovOracle, ToyEnv
+from seqot.sil_rl.policy import Policy
 
-from conftest import write_embeddings
+from conftest import FIXTURES, write_embeddings
 
 
 def per_call_cost_matrix(table, hyp, ref):
@@ -240,16 +244,16 @@ class TestGrammar:
         table = self.load(tmp_path, "2 2\nna\u00efve 1 0\n\u65e5\u672c 0 1\n".encode())
         assert table.tokens() == ["na\u00efve", "\u65e5\u672c"]
 
-    @pytest.mark.parametrize("data, line", [
-        (b"2 2\na 1 0\nb\xff 0 1\n", 3),
-        (b"2 2\ra 1 0\r\xc3 0 1\n", 3),
-        (b"2\xa0 2\na 1 0\n", 1),
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"2 2\na 1 0\nb\xff 0 1\n", 3, "0xff"),
+        (b"2 2\ra 1 0\r\xc3 0 1\n", 3, "0xc3"),
+        (b"2\xa0 2\na 1 0\n", 1, "0xa0"),
     ], ids=["token", "after-cr", "header"])
-    def test_not_utf8_names_the_file_and_line(self, tmp_path, data, line):
+    def test_not_utf8_names_the_file_and_line(self, tmp_path, data, line, byte):
         with pytest.raises(UnreadableFileError) as err:
             self.load(tmp_path, data)
         assert err.value.line == line
-        assert str(err.value).startswith(f"cannot read embedding file {tmp_path / 'e.txt'!r}: line {line} ")
+        assert str(err.value) == f"cannot read {tmp_path / 'e.txt'}: line {line} is not UTF-8 (byte {byte})"
 
 
 class TestLoad:
@@ -501,7 +505,7 @@ class TestCostMatrix:
         before = repr(table)
         build_cost_matrix(table, ["a", "b"], ["a"])
         assert set(table.unit_rows) == {"a", "b"}
-        assert table == twin and repr(table) == before == repr(twin)
+        assert repr(table) == before == repr(twin)
 
     def test_pad_token_still_rejected(self, ortho_table):
         table = EmbeddingTable(dim=ortho_table.dim, entries=ortho_table.entries)
@@ -509,3 +513,31 @@ class TestCostMatrix:
             with pytest.raises(ReservedTokenError):
                 build_cost_matrix(table, hyp, ref)
         assert PAD_TOKEN not in table.unit_rows
+
+
+ORTHO = FIXTURES / "ortho_embeddings.txt"
+# Each makes one of two equal-valued instances of a class that holds arrays.
+TWINS = {
+    "EmbeddingTable": lambda: load_embeddings(ORTHO),
+    "CostMatrix": lambda: build_cost_matrix(load_embeddings(ORTHO), ["a"], ["a", "b"]),
+    "TransportPlan": lambda: ipot_solve(np.array([[0.0, 1.0], [1.0, 0.0]])),
+    "NestedResult": lambda: nested_wasserstein(load_embeddings(ORTHO), [["a", "b"]], [["b", "a"]]),
+    "MarkovOracle": lambda: MarkovOracle.random(3, seed=0),
+    "ToyEnv": lambda: ToyEnv.markov(3, 2, seed=0),
+    "Policy": lambda: Policy.uniform(3, 2),
+}
+
+
+class TestIdentityEquality:
+    """Classes that hold arrays compare and hash by identity: a generated
+    ``==`` would raise on their arrays, and a generated ``__hash__`` too."""
+
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_twins_compare_unequal_and_hash(self, name):
+        first, second = TWINS[name](), TWINS[name]()
+        assert first == first and first != second and not (first == second)
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
+    def test_solver_config_keeps_value_equality(self):
+        assert IpotConfig(0.5, 10) == IpotConfig(0.5, 10) != IpotConfig(0.25, 10)
+        assert hash(IpotConfig(0.5, 10)) == hash(IpotConfig(0.5, 10))
