@@ -20,8 +20,10 @@ per-layer metric.
 
 A claimed metric is met when the change wins at least nine tenths of the
 pairs and its median is better than the parent's by more than the parent's
-interquartile range. Runs take about ``run_seconds`` plus a few seconds
-each, one at a time.
+interquartile range. Every other metric gets a ``bound_check`` against its
+``bound`` in ``BENCHMARK.json``: ``ok``, ``worse`` or ``unresolved`` (see
+:func:`bound_check`), with a warning on stderr unless it is ``ok``. Runs
+take about ``run_seconds`` plus a few seconds each, one at a time.
 """
 
 from __future__ import annotations
@@ -123,6 +125,38 @@ def claim_met(summary: dict) -> bool:
     return summary["change_better_pairs"] >= math.ceil(0.9 * summary["pairs"]) and gap > iqr
 
 
+def bound_check(summary: dict, bound: float) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than ``bound``, a fraction of the parent's median. Otherwise
+    ``unresolved`` when either side's interquartile range is wider than
+    ``bound`` of its median, unless every change run is better than every
+    parent run; else ``ok``."""
+    sign = 1.0 if summary["better"] == "higher" else -1.0
+    parent, change = summary["parent"], summary["change"]
+    if sign * (parent["median"] - change["median"]) > bound * abs(parent["median"]):
+        return "worse"
+    wide = any(side["q3"] - side["q1"] > bound * abs(side["median"]) for side in (parent, change))
+    runs = summary["runs"]
+    if wide and min(sign * r["change"] for r in runs) <= max(sign * r["parent"] for r in runs):
+        return "unresolved"
+    return "ok"
+
+
+def check_bounds(report: dict, bounds: dict) -> None:
+    """Record :func:`bound_check` on every metric the change does not claim,
+    and warn on stderr about each one that is not ``ok``."""
+    claimed = report["claimed"] or {}
+    for workload, result in report["workloads"].items():
+        for metric, summary in result["metrics"].items():
+            if (workload, metric) == (claimed.get("workload"), claimed.get("metric")):
+                continue
+            summary["bound_check"] = verdict = bound_check(summary, bounds[metric])
+            if verdict != "ok":
+                print(f"bench: warning: {workload} {metric} is {verdict} against its bound {bounds[metric]:g}: "
+                      f"parent median {summary['parent']['median']:g}, change {summary['change']['median']:g}",
+                      file=sys.stderr)
+
+
 def bench_workload(sides: dict, workload: str, seeds: list[int], seconds: float, metrics: dict) -> dict:
     runs = {name: [] for name in metrics}
     failed = {side: 0 for side in sides}
@@ -174,6 +208,7 @@ def main(argv=None) -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
     seeds = parse_seeds(args.seeds)
@@ -213,6 +248,7 @@ def main(argv=None) -> int:
         workload, _, metric = args.claim.partition(":")
         summary = report["workloads"][workload]["metrics"][metric]
         report["claimed"] = {"workload": workload, "metric": metric, "met": claim_met(summary)}
+    check_bounds(report, bounds)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"bench: wrote {out.name}", file=sys.stderr)

@@ -43,15 +43,24 @@ _INPUT_ERRORS = (UsageError, ConfigError, DivergedError, EmbeddingError, EmptyCo
                  OSError)
 
 
-def read_corpus(path, lowercase: bool = False) -> list[list[str]]:
+class Corpus(list):
+    """A corpus file's sentences; ``lines[i]`` is the file line sentence
+    ``i`` came from, counted as :func:`seqot.embeddings.read_input` counts."""
+
+    def __init__(self, sentences: list[list[str]], lines: list[int]):
+        super().__init__(sentences)
+        self.lines = lines
+
+
+def read_corpus(path, lowercase: bool = False) -> Corpus:
     """One sentence per line, split into tokens as a table row is split into
     fields (see :func:`seqot.embeddings.read_input`); blank lines skipped."""
     # one decode per line, of its tokens joined at single spaces (no token holds one)
-    lines = (b" ".join(line.split()).decode() for line in read_input(path).splitlines())
-    sentences = [(text.lower() if lowercase else text).split(" ") for text in lines if text]
+    texts = [b" ".join(line.split()).decode() for line in read_input(path).splitlines()]
+    sentences = [(text.lower() if lowercase else text).split(" ") for text in texts if text]
     if not sentences:
         raise UsageError(f"{path}: no sentences found")
-    return sentences
+    return Corpus(sentences, [number for number, text in enumerate(texts, start=1) if text])
 
 
 def _load_table(args) -> "EmbeddingTable":
@@ -79,36 +88,30 @@ def _emit(args, payload: dict, table_text: str | None = None) -> None:
 
 
 def _resolved_common(args, extra: dict) -> dict:
-    resolved = {
-        "gamma": args.gamma,
-        "outer_iters": args.outer_iters,
-        "oov": args.oov,
-        "lowercase": bool(args.lowercase),
-    }
-    resolved.update(extra)
-    return resolved
+    return {"oov": args.oov, "lowercase": bool(args.lowercase), **extra}
 
 
 def cmd_score(args) -> int:
     table = _load_table(args)
-    config = _ot_config(args)
     hyps = read_corpus(args.hyp_file, args.lowercase)
     refs = read_corpus(args.ref_file, args.lowercase)
 
     if args.corpus:
         pairs = [
             {"index": index, "w_distance": distance, "w_reward": reward}
-            for index, (_, distance, reward) in enumerate(best_matches(table, hyps, refs, config))
+            for index, (_, distance, reward) in enumerate(best_matches(table, hyps, refs))
         ]
     else:
         if len(hyps) != len(refs):
+            paired = min(len(hyps), len(refs))
+            path, longer = (args.hyp_file, hyps) if len(hyps) > paired else (args.ref_file, refs)
             raise UsageError(
                 f"pairwise mode needs equal line counts, got {len(hyps)} hypotheses"
-                f" and {len(refs)} references (line {min(len(hyps), len(refs)) + 1})"
+                f" and {len(refs)} references (first unpaired: {path} line {longer.lines[paired]})"
             )
         pairs = []
         for index, (hyp, ref) in enumerate(zip(hyps, refs)):
-            scored = score_pair(table, hyp, ref, config)
+            scored = score_pair(table, hyp, ref)
             pairs.append({"index": index, "w_distance": scored.distance, "w_reward": scored.reward})
 
     manifest = build_manifest(
@@ -151,7 +154,8 @@ def cmd_nested(args) -> int:
     result = nested_wasserstein(table, set_a, set_b, config)
     manifest = build_manifest(
         "nested",
-        _resolved_common(args, {"k": args.k, "k_prime": args.k_prime}),
+        _resolved_common(args, {"k": args.k, "k_prime": args.k_prime, "gamma": args.gamma,
+                                "outer_iters": args.outer_iters}),
         [args.embeddings, args.corpus_a, args.corpus_b],
         seed=args.seed,
     )
@@ -193,13 +197,12 @@ def cmd_metrics(args) -> int:
 
 def cmd_compare(args) -> int:
     table = _load_table(args)
-    config = _ot_config(args)
     ref = read_corpus(args.ref_file, args.lowercase)[0]
     candidates = []
     for path in args.candidate_files:
         candidates.extend(read_corpus(path, args.lowercase))
 
-    _, rewards = score_matrices(table, candidates, [ref], config)
+    _, rewards = score_matrices(table, candidates, [ref])
     rows = []
     for index, candidate in enumerate(candidates):
         rows.append(
@@ -275,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         if embeddings:
             p.add_argument("--embeddings", required=True, help="embedding table (text format)")
             p.add_argument("--oov", choices=["strict", "hash"], default="strict")
-            p.add_argument("--gamma", type=float, default=IpotConfig.gamma)
-            p.add_argument("--outer-iters", type=int, default=IpotConfig.outer_iters)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lowercase", action="store_true")
         p.add_argument("--json", dest="table", action="store_false", default=False,
@@ -296,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_b")
     p.add_argument("--k", type=int, default=5, help="hypothesis set size (fixed-seed subsample if larger)")
     p.add_argument("--k-prime", type=int, default=5, help="reference set size")
+    p.add_argument("--gamma", type=float, default=IpotConfig.gamma, help="outer solve's proximal weight")
+    p.add_argument("--outer-iters", type=int, default=IpotConfig.outer_iters, help="outer solve's step cap")
     add_common(p)
     p.set_defaults(func=cmd_nested)
 

@@ -167,7 +167,7 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
         if key in values and settings[target][name] != needed:
             raise ConfigError(f"key {key!r}: applies only to {setting} = {_show(needed)}, "
                               f"got {setting} = {_show(settings[target][name])}")
-    env = _make("env", ToyEnv.markov if env_kind is RewardKind.MARKOV else ToyEnv.overlap, args, ot_config=ot)
+    env = _make("env", ToyEnv.markov if env_kind is RewardKind.MARKOV else ToyEnv.overlap, args)
     policy = _make("policy", Policy.uniform, args, vocab_size=env.vocab_size, horizon=env.horizon)
     if sil.pretrain and not any(env.references.values()):
         raise ConfigError("key 'reference_count': pretrain = true needs at least 1 reference, got 0")

@@ -107,14 +107,13 @@ class EmbeddingTable:
 
     Invariants enforced at load time: every vector has length ``dim``, no
     vector is all-zeros, and :data:`PAD_TOKEN` is absent. The vectors never
-    change, so neither does a pair's transport score under one solver
-    config: ``pair_scores`` maps each ``IpotConfig`` to a dict of
-    ``complex(distance, reward)`` per pair, filled by
-    :func:`seqot.nested.score_matrices` and kept for as long as the instance
-    lives (one CLI command, or one training environment). ``unit_rows``
-    maps each token :meth:`unit_row` has been asked for to its vector scaled
-    to unit length, so a table holds one extra row per token it has costed,
-    not per token it stores. Threads may share an instance: two that miss on
+    change, so neither does a pair's exact transport score:
+    ``pair_scores`` maps each pair to its ``complex(distance, reward)``,
+    filled by :func:`seqot.nested.score_matrices` and kept for as long as
+    the instance lives (one CLI command, or one training environment).
+    ``unit_rows`` maps each token :meth:`unit_row` has been asked for to its
+    vector scaled to unit length, so a table holds one extra row per token
+    it has costed, not per token it stores. Threads may share an instance: two that miss on
     the same pair or token both compute it and store the same floats.
     """
 

@@ -4,15 +4,17 @@ the ground cost is itself a sequence distance.
 :func:`score_matrices` is the one place a set of sequences is scored
 against a reference set: it fills the K x K' matrices of pairwise sequence
 distances and rewards, solving each (hypothesis, reference) pair at most
-once per table and solver config through the table's ``pair_scores`` memo.
-A pair solved by an earlier call, or by an environment's reward on the same
+once per table through the table's ``pair_scores`` memo. Each pair's
+solve is exact (:mod:`seqot.seq_match`), so it takes no solver config. A
+pair solved by an earlier call, or by an environment's reward on the same
 table, is not solved again. :func:`best_matches` finds each hypothesis's
 best reference through the same memo, but solves only the pairs whose
 reward bound can still win; its output is the same as solving every pair
 and taking the argmax. Two sets of sequences are matched by an outer
-transport problem over the distance matrix. The outer plan also defines a
-per-hypothesis reward: each hypothesis inherits the plan-weighted sum of its
-pairwise rewards, so the raw values scale with the 1/K row mass.
+transport problem over the distance matrix, solved by :func:`ipot_solve`
+under the caller's config. The outer plan also defines a per-hypothesis
+reward: each hypothesis inherits the plan-weighted sum of its pairwise
+rewards, so the raw values scale with the 1/K row mass.
 """
 
 from __future__ import annotations
@@ -73,26 +75,25 @@ def score_matrices(
     table: EmbeddingTable,
     hyps: Sequence[Sequence[str]],
     refs: Sequence[Sequence[str]],
-    config: IpotConfig = DEFAULT_IPOT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(distances, rewards)``, each ``len(hyps) x len(refs)``: the sequence
     distance and reward of every (hypothesis, reference) pair.
 
-    Each pair is solved at most once per table and solver config: on a miss
+    Each pair is solved at most once per table: on a miss
     ``score_pair`` runs and its two floats are kept in
     ``table.pair_scores``. The key is the flat tuple
     ``(len(hyp), *hyp, *ref)``: the length fixes where ``hyp`` ends, so no
     two distinct pairs share a key. A failed pair raises
     :class:`NestedSolveError` ``("inner", i, j)`` chained from the cause.
     """
-    memo = table.pair_scores.setdefault(config, {})
+    memo = table.pair_scores
     ref_keys = _keys(refs)
     distances = np.empty((len(hyps), len(refs)))
     rewards = np.empty((len(hyps), len(refs)))
     for i, hyp in enumerate(hyps):
         hyp_key = (len(hyp), *map(sys.intern, hyp))
         for j, ref in enumerate(refs):
-            hit = _lookup(memo, hyp_key + ref_keys[j], i, j, score_pair, table, hyp, ref, config)
+            hit = _lookup(memo, hyp_key + ref_keys[j], i, j, score_pair, table, hyp, ref)
             distances[i, j], rewards[i, j] = hit.real, hit.imag
     return distances, rewards
 
@@ -101,7 +102,6 @@ def best_matches(
     table: EmbeddingTable,
     hyps: Sequence[Sequence[str]],
     refs: Sequence[Sequence[str]],
-    config: IpotConfig = DEFAULT_IPOT,
 ) -> list[tuple[int, float, float]]:
     """``(j, distance, reward)`` of each hypothesis's best reference: the
     index ``np.argmax(score_matrices(...)[1], axis=1)`` picks, the lowest
@@ -118,7 +118,7 @@ def best_matches(
     """
     if len(refs) == 0:
         raise EmptySetError("refs")
-    memo = table.pair_scores.setdefault(config, {})
+    memo = table.pair_scores
     ref_keys = _keys(refs)
     best = []
     for i, hyp in enumerate(hyps):
@@ -136,10 +136,10 @@ def best_matches(
             # Leaving a pair unsolved hides no error: the loop above built
             # every cost matrix in row-major order, so a bad token fails at
             # the (i, j) a full grid would report, and the costs are finite
-            # and in [0, 2], on which ipot_solve cannot raise.
+            # and in [0, 2], on which the exact solve cannot raise.
             if bounds[j] < top[2]:
                 break
-            hit = _lookup(memo, hyp_key + ref_keys[j], i, j, score_costs, costs[j], config)
+            hit = _lookup(memo, hyp_key + ref_keys[j], i, j, score_costs, costs[j])
             if hit.imag > top[2] or (hit.imag == top[2] and j < top[0]):
                 top = (j, hit.real, hit.imag)
         best.append(top)
@@ -173,7 +173,8 @@ def nested_wasserstein(
     set_b: Sequence[Sequence[str]],
     config: IpotConfig = DEFAULT_IPOT,
 ) -> NestedResult:
-    """Solve all K*K' inner pairs, then one outer solve over their distances.
+    """Solve all K*K' inner pairs, then one outer solve over their distances
+    under ``config``.
 
     With K = K' = 1 this degenerates to the plain sequence distance of the
     single pair.
@@ -186,7 +187,7 @@ def nested_wasserstein(
         if any(len(seq) == 0 for seq in group):
             raise ValueError(f"set {name} contains an empty sequence")
 
-    costs, rewards = score_matrices(table, set_a, set_b, config)
+    costs, rewards = score_matrices(table, set_a, set_b)
 
     try:
         outer = ipot_solve(costs, config)

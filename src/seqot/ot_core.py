@@ -1,14 +1,14 @@
 """Discrete optimal transport with uniform marginals.
 
-The solver runs proximal-point iterations: each outer step multiplies the
-current plan into an entropic kernel and re-balances it with one Sinkhorn
-sweep, which drives the plan to the unregularized optimum. A brute-force
-permutation oracle is provided for testing square instances.
+The general solver runs proximal-point iterations: each outer step
+multiplies the current plan into an entropic kernel and re-balances it with
+one Sinkhorn sweep, which drives the plan to the unregularized optimum.
+Square problems are solved exactly by :func:`assignment_solve`: with
+uniform marginals their optimum is a permutation scaled by 1/n.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,12 +18,6 @@ import numpy as np
 class NonFiniteCostError(ValueError):
     def __init__(self):
         super().__init__("cost matrix contains NaN or Inf entries")
-
-
-class OracleTooLargeError(ValueError):
-    def __init__(self, n: int):
-        super().__init__(f"exact oracle enumerates n! permutations; n={n} exceeds the cap of 8")
-        self.n = n
 
 
 #: Every division in the solver clamps its denominator at this floor.
@@ -111,8 +105,7 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
     nonnegative, and each of its columns sums to at most ``1/m`` up to
     rounding, since the last operation is the column scaling ``sigma_j =
     1/max(m * sum_i q_ij delta_i, floor)``; the floor can only lower a
-    column's mass. :func:`seqot.seq_match.reward_bound` prunes pairs
-    unsolved on this invariant, so a change to the loop must keep it.
+    column's mass.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.size == 0:
@@ -173,33 +166,92 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
     )
 
 
-def exact_ot_oracle(cost: np.ndarray) -> tuple[float, TransportPlan]:
-    """Exact uniform-marginal OT on a square matrix by permutation search.
+def assignment_solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact minimum-cost assignment on a square matrix: ``(cols, u, v)``.
 
-    Valid because a square OT polytope with uniform marginals attains its
-    optimum at a vertex, and those vertices are the n! permutation matrices
-    scaled by 1/n. Capped at n <= 8.
+    Row ``i`` is assigned column ``cols[i]``. The duals certify the
+    optimum: ``u[i] + v[j] <= C[i, j]`` on every cell, with equality on the
+    assigned cells, so ``sum(u) + sum(v)`` equals the assignment's cost.
+
+    Row reduction sets ``u`` to the row minima and ``v`` to 0. A greedy
+    pass then gives each row, in order, the first free column of zero
+    reduced cost ``C[i, j] - u[i] - v[j]``. Each row still free is matched
+    by a shortest augmenting path over the reduced costs (Dijkstra; Jonker
+    & Volgenant 1987), after which the duals move so that every reduced
+    cost stays nonnegative and the assigned ones stay zero. Among the
+    nearest columns a free one is taken first, which ends the search.
     """
     c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"oracle requires a square matrix, got shape {c.shape}")
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+        raise ValueError(f"assignment needs a nonempty square matrix, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise NonFiniteCostError()
+
     n = c.shape[0]
-    if n > 8:
-        raise OracleTooLargeError(n)
+    u = c.min(axis=1)
+    v = np.zeros(n)
+    col_of = [-1] * n
+    row_of = [-1] * n
+    rows, cols = np.nonzero(c == u[:, None])
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if col_of[i] < 0 and row_of[j] < 0:
+            col_of[i] = j
+            row_of[j] = i
+    free_cols = np.array([r < 0 for r in row_of])
 
-    best_perm = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(n)):
-        total = sum(c[i, perm[i]] for i in range(n))
-        if total < best_cost:
-            best_cost = total
-            best_perm = perm
+    for start in [i for i in range(n) if col_of[i] < 0]:
+        dist = np.full(n, np.inf)  # path length to each unscanned column, in reduced costs
+        pred = np.empty(n, dtype=np.intp)  # the row each column is reached from
+        # v, but -inf on scanned columns: their reach is then inf, never < their dist (also
+        # inf), so their path length and predecessor stay fixed
+        shut = v.copy()
+        path_cols, path_lows, path_rows = [], [], [start]  # scanned, in order
+        i, low = start, 0.0
+        while True:
+            reach = c[i] - shut
+            reach += low - u[i]
+            better = reach < dist
+            np.copyto(dist, reach, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(dist.argmin())
+            low = dist[j]
+            if row_of[j] >= 0:
+                free = (dist == low) & free_cols
+                k = int(free.argmax())
+                j = k if free[k] else j
+            path_cols.append(j)
+            path_lows.append(low)
+            dist[j], shut[j] = np.inf, -np.inf
+            i = row_of[j]
+            if i < 0:
+                break
+            path_rows.append(i)
+        v[path_cols] -= low - np.array(path_lows)
+        u[start] += low
+        # path_rows[k + 1] holds path_cols[k]
+        u[path_rows[1:]] += low - np.array(path_lows[:-1])
+        free_cols[j] = False
+        while True:  # flip the path's edges, from the free column back to start
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return np.array(col_of), u, v
 
+
+def exact_ot_oracle(cost: np.ndarray) -> tuple[float, TransportPlan]:
+    """Exact uniform-marginal OT on a square matrix: its optimal cost and plan.
+
+    A square OT polytope with uniform marginals attains its optimum at a
+    vertex, and those vertices are the n! permutation matrices scaled by
+    1/n (Birkhoff), so the optimum is the :func:`assignment_solve` one.
+    """
+    c = np.asarray(cost, dtype=float)
+    cols = assignment_solve(c)[0]
+    n = len(cols)
+    rows = np.arange(n)
     values = np.zeros((n, n))
-    for i, j in enumerate(best_perm):
-        values[i, j] = 1.0 / n
-    best = best_cost / n
-    plan = TransportPlan(values=values, cost=float(best), converged=True, iterations_used=0)
-    return float(best), plan
+    values[rows, cols] = 1.0 / n
+    best = float(c[rows, cols].sum() / n)
+    return best, TransportPlan(values=values, cost=best, converged=True, iterations_used=0)

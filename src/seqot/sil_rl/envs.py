@@ -19,7 +19,6 @@ import numpy as np
 
 from ..embeddings import EmbeddingTable, OovPolicy
 from ..nested import score_matrices
-from ..ot_core import DEFAULT_IPOT, IpotConfig
 from ..seq_match import score_pair  # noqa: F401  (perfbench's tracer patches this binding)
 
 
@@ -106,7 +105,6 @@ class ToyEnv:
     oracle: MarkovOracle | None = None
     references: dict[int | None, list[tuple[int, ...]]] = field(default_factory=dict)
     table: EmbeddingTable | None = None
-    ot_config: IpotConfig = field(default_factory=lambda: DEFAULT_IPOT)
     _reward_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -154,7 +152,7 @@ class ToyEnv:
         if not refs:
             raise ValueError(f"no references for condition {condition!r}")
         ref_words = [[str(t) for t in ref] for ref in refs]
-        _, rewards = score_matrices(self.table, [[str(t) for t in tokens]], ref_words, self.ot_config)
+        _, rewards = score_matrices(self.table, [[str(t) for t in tokens]], ref_words)
         return float(np.mean(rewards[0]))
 
     @classmethod
@@ -165,7 +163,6 @@ class ToyEnv:
         seed: int = 0,
         concentration: float = 0.3,
         reference_count: int = 16,
-        ot_config: IpotConfig = DEFAULT_IPOT,
     ) -> "ToyEnv":
         """Markov-chain log-likelihood environment with an oracle-sampled
         reference corpus (used for pretraining and direct self-imitation)."""
@@ -183,7 +180,6 @@ class ToyEnv:
             seed=seed,
             oracle=oracle,
             references={None: refs},
-            ot_config=ot_config,
         )
 
     @classmethod
@@ -194,7 +190,6 @@ class ToyEnv:
         seed: int = 0,
         reference_count: int = 8,
         conditions: int = 0,
-        ot_config: IpotConfig = DEFAULT_IPOT,
     ) -> "ToyEnv":
         """Transport-reward environment; ``conditions > 0`` selects the
         conditional variant with one reference set per condition id."""
@@ -217,5 +212,4 @@ class ToyEnv:
             reward_fn=kind,
             seed=seed,
             references=references,
-            ot_config=ot_config,
         )

@@ -1,6 +1,7 @@
 """The pair summary of ``scripts/bench.py``: quartiles, pairs won, the
 claim rule (nine tenths of the pairs, and a median gap past the parent's
-interquartile range) and the order of the traced rounds."""
+interquartile range), the bound check of unclaimed metrics and the order of
+the traced rounds."""
 
 import importlib.util
 from pathlib import Path
@@ -54,3 +55,42 @@ def test_traced_rounds_run_parent_change_change_parent(monkeypatch):
         "ot_core.solves": {"parent": [1, 4], "change": [2, 3]},
         "trace.overhead_s": {"parent": [-1, -4], "change": [-2, -3]},
     }
+
+
+def test_bound_check_reads_worse_past_the_bound_in_either_direction():
+    # a train-wsil setup_s that went 0.172 -> 0.229 s: +33% against a 25% bound
+    assert bench.bound_check(bench.summarize("lower", pairs([0.172] * 10, [0.229] * 10)), 0.25) == "worse"
+    parent = [0.170 + 0.001 * i for i in range(10)]
+    assert bench.bound_check(bench.summarize("lower", pairs(parent, [p * 1.2 for p in parent])), 0.25) == "ok"
+    assert bench.bound_check(bench.summarize("higher", pairs(parent, [p * 0.7 for p in parent])), 0.25) == "worse"
+    assert bench.bound_check(bench.summarize("higher", pairs(parent, [p * 1.5 for p in parent])), 0.25) == "ok"
+
+
+def test_bound_check_reads_unresolved_when_the_spread_is_wider_than_the_bound():
+    wide = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0]  # IQR 2 around a median of 2
+    assert bench.bound_check(bench.summarize("lower", pairs(wide, wide)), 0.25) == "unresolved"
+    assert bench.bound_check(bench.summarize("lower", pairs([2.0] * 10, wide)), 0.25) == "unresolved"
+    # unless every change run reads better than every parent run
+    assert bench.bound_check(bench.summarize("lower", pairs(wide, [w / 10 for w in wide])), 0.25) == "ok"
+
+
+def test_unclaimed_metrics_get_a_bound_check_and_a_warning(capsys):
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    report = {
+        "claimed": {"workload": "eval-corpus", "metric": "round_wall_s", "met": True},
+        "workloads": {
+            "eval-corpus": {"metrics": {
+                "round_wall_s": bench.summarize("lower", pairs(parent, [p / 3 for p in parent])),
+                "setup_s": bench.summarize("lower", pairs(parent, [p * 1.4 for p in parent])),
+            }},
+            "train-wsil": {"metrics": {"setup_s": bench.summarize("lower", pairs(parent, parent))}},
+        },
+    }
+    bench.check_bounds(report, {"round_wall_s": 0.25, "setup_s": 0.25})
+    metrics = report["workloads"]["eval-corpus"]["metrics"]
+    assert "bound_check" not in metrics["round_wall_s"]
+    assert metrics["setup_s"]["bound_check"] == "worse"
+    assert report["workloads"]["train-wsil"]["metrics"]["setup_s"]["bound_check"] == "ok"
+    assert capsys.readouterr().err.splitlines() == [
+        "bench: warning: eval-corpus setup_s is worse against its bound 0.25: parent median 1.045, change 1.463"
+    ]

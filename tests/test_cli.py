@@ -66,6 +66,31 @@ class TestScore:
         assert code == 2
         assert "line" in err
 
+    def test_line_count_mismatch_names_the_file_line(self, capsys, tmp_path):
+        hyp = tmp_path / "h.txt"
+        ref = tmp_path / "r.txt"
+        hyp.write_text("young kid\n\n\nyoung kid\n")
+        ref.write_text("young kid\n")
+        code, _, err = run_cli(capsys, "score", str(hyp), str(ref), "--embeddings", EMB)
+        assert code == 2
+        assert err == ("error: pairwise mode needs equal line counts, got 2 hypotheses and 1 references"
+                       f" (first unpaired: {hyp} line 4)\n")
+        code, _, err = run_cli(capsys, "score", str(ref), str(hyp), "--embeddings", EMB)
+        assert code == 2
+        assert err.endswith(f"(first unpaired: {hyp} line 4)\n")
+
+    @pytest.mark.parametrize("mode", [[], ["--corpus"]], ids=["pairwise", "corpus"])
+    def test_reward_plus_distance_is_one(self, capsys, tmp_path, mode):
+        lines = ((TRIPLE / "reference.txt").read_text() + (TRIPLE / "candidates.txt").read_text()).splitlines()
+        hyp = tmp_path / "h.txt"
+        ref = tmp_path / "r.txt"
+        hyp.write_text("\n".join(lines) + "\n")
+        ref.write_text("\n".join(lines[1:] + lines[:1]) + "\n")
+        code, out, _ = run_cli(capsys, "score", str(hyp), str(ref), *mode, "--embeddings", EMB)
+        assert code == 0
+        for pair in json.loads(out)["pairs"]:
+            assert abs(pair["w_reward"] + pair["w_distance"] - 1.0) <= 1e-12
+
     def test_corpus_mode(self, capsys, tmp_path):
         hyp = tmp_path / "h.txt"
         ref = tmp_path / "r.txt"
@@ -183,10 +208,10 @@ def test_unknown_token_in_a_set_exits_two(capsys, tmp_path, command):
 
 
 BAD_FLAGS = [
-    (command, flag, value)
-    for command in ("score", "nested", "compare")
-    for flag, value in (("--gamma", "0"), ("--gamma", "nan"), ("--gamma", "inf"), ("--outer-iters", "0"))
-] + [("nested", "--k", "0"), ("nested", "--k", "-1"), ("nested", "--k-prime", "0")]
+    ("nested", flag, value)
+    for flag, value in (("--gamma", "0"), ("--gamma", "nan"), ("--gamma", "inf"), ("--outer-iters", "0"),
+                        ("--k", "0"), ("--k", "-1"), ("--k-prime", "0"))
+]
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
@@ -196,6 +221,17 @@ def test_out_of_range_flag_exits_two(capsys, corpora, command, flag, value):
     assert code == 2
     assert err.startswith(f"error: {flag} must be")
     assert f", got {value}" in err
+
+
+@pytest.mark.parametrize("command", ["score", "compare"])
+@pytest.mark.parametrize("flag", ["--gamma", "--outer-iters"])
+def test_solver_flags_belong_to_nested_only(capsys, corpora, command, flag):
+    # inner solves are exact: only nested runs a solve these flags govern
+    hyp, ref = corpora
+    with pytest.raises(SystemExit) as exc:
+        main([command, hyp, ref, flag, "1", "--embeddings", ORTHO])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestMetrics:
@@ -487,8 +523,8 @@ KEY_PROBES = {
     "pretrain": ("false", {}, lambda s: s.sil.pretrain, False),
     "pretrain_smoothing": ("2.0", {}, lambda s: s.sil.pretrain_smoothing, 2.0),
     "bleu_order": ("3", {"buffer_criterion": "f1_bleu"}, lambda s: s.sil.bleu_order, 3),
-    "gamma": ("0.5", {}, lambda s: (s.sil.ot.gamma, s.env.ot_config.gamma), (0.5, 0.5)),
-    "outer_iters": ("50", {}, lambda s: (s.sil.ot.outer_iters, s.env.ot_config.outer_iters), (50, 50)),
+    "gamma": ("0.5", {}, lambda s: s.sil.ot.gamma, 0.5),
+    "outer_iters": ("50", {}, lambda s: s.sil.ot.outer_iters, 50),
 }
 
 

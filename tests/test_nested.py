@@ -170,17 +170,16 @@ class TestPairScoreMemo:
         assert np.array_equal(warm.outer_plan.values, cold.outer_plan.values)
         assert warm.distance == cold.distance
 
-    def test_configs_share_no_entries(self, fixtures_dir, count_inner_solves):
+    def test_configs_share_one_memo(self, fixtures_dir, count_inner_solves):
+        # inner solves are exact, so a second outer config reuses every pair
         table = self.fresh_table(fixtures_dir)
         set_a, set_b = random_sets(table, 4, 2, 2)
         other = IpotConfig(gamma=0.1)
         first = nested_wasserstein(table, set_a, set_b)
         second = nested_wasserstein(table, set_a, set_b, other)
-        assert len(count_inner_solves) == 8
-        again = nested_wasserstein(table, set_a, set_b, other)
-        assert len(count_inner_solves) == 8
-        assert not np.array_equal(first.seq_cost_matrix, second.seq_cost_matrix)
-        assert np.array_equal(second.seq_cost_matrix, again.seq_cost_matrix)
+        assert len(count_inner_solves) == 4
+        assert np.array_equal(first.seq_cost_matrix, second.seq_cost_matrix)
+        assert np.array_equal(first.seq_reward_matrix, second.seq_reward_matrix)
 
     def test_token_boundaries_are_part_of_the_key(self, fixtures_dir, count_inner_solves):
         table = self.fresh_table(fixtures_dir, OovPolicy.HASH_FALLBACK)
@@ -207,8 +206,8 @@ BOUND_TABLES = {"continuous": continuous_table(0), "basis": basis_embedding_tabl
 
 
 class TestRewardBound:
-    """``reward_bound`` caps the reward of every plan ``ipot_solve`` returns:
-    converged or not, capped or not, padded or not."""
+    """``reward_bound`` caps the reward of every pair :func:`score_pair`
+    solves, padded or not."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -237,20 +236,22 @@ class TestRewardBound:
         plan = ipot_solve(cost, config)
         size = cost.shape[0]
         eps = sys.float_info.epsilon
-        # the invariant the bound rests on: no negative entry, no column past 1/L
+        # ipot_solve's column-mass invariant: no negative entry, no column past 1/L
         assert plan.values.min() >= 0.0
         assert plan.values.sum(axis=0).max() <= (1.0 + (2 * size + 8) * eps) / size
-        reward = float((plan.values * (1.0 - cost)).sum())
-        assert reward == score_pair(table, hyp, ref, config).reward
+        reward = score_pair(table, hyp, ref).reward
         assert reward <= bound(table, hyp, ref)
+        # the rounding the margin covers is at most 2L u = L eps
+        gain = np.maximum(1.0 - cost.min(axis=0), 0.0).sum() / size
+        assert reward <= gain + size * eps
 
-    def test_the_margin_covers_a_reward_rounded_past_one(self):
-        # an identical pair: the bound before its margin is exactly 1.0, and
-        # this plan's reward rounds past it
+    def test_an_identical_pair_reads_exactly_one_under_the_bound(self):
+        # the bound before its margin is exactly 1.0, and so is the exact
+        # reward: the assignment picks only zero-cost cells
         table = BOUND_TABLES["basis"]
         seq = ["4", "0", "3", "1", "4"]
-        reward = score_pair(table, seq, seq, IpotConfig(gamma=0.01, outer_iters=20)).reward
-        assert reward > 1.0
+        scored = score_pair(table, seq, seq)
+        assert (scored.reward, scored.distance) == (1.0, 0.0)
         assert bound(table, seq, seq) == 1.0 + 9**2 * sys.float_info.epsilon
 
     def test_pads_do_not_raise_the_bound(self, ortho_table):
@@ -259,10 +260,10 @@ class TestRewardBound:
         assert bound(ortho_table, ["a"], ["b", "c", "d"]) == pytest.approx(0.0, abs=1e-12)
 
 
-def argmax_matches(table, hyps, refs, config=IpotConfig()):
+def argmax_matches(table, hyps, refs):
     """The full grid's argmax per row, as ``(j, distance, reward)`` with the
     floats as exact bits."""
-    distances, rewards = score_matrices(table, hyps, refs, config)
+    distances, rewards = score_matrices(table, hyps, refs)
     return [
         (int(j), distances[i, j].hex(), rewards[i, j].hex())
         for i, j in enumerate(np.argmax(rewards, axis=1))

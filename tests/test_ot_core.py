@@ -11,8 +11,8 @@ from seqot.ot_core import (
     FEASIBILITY_TOL,
     IpotConfig,
     NonFiniteCostError,
-    OracleTooLargeError,
     TransportPlan,
+    assignment_solve,
     exact_ot_oracle,
     ipot_solve,
     marginal_violation,
@@ -82,13 +82,68 @@ class TestOracle:
         oracle_cost, _ = exact_ot_oracle(cost_matrix)
         assert ipot_solve(cost_matrix).cost == pytest.approx(oracle_cost, abs=1e-3)
 
-    def test_too_large(self):
-        with pytest.raises(OracleTooLargeError):
-            exact_ot_oracle(np.zeros((9, 9)))
-
     def test_requires_square(self):
         with pytest.raises(ValueError):
             exact_ot_oracle(np.zeros((2, 3)))
+
+    def test_plan_is_a_scaled_permutation_of_any_size(self):
+        cost_matrix = np.random.default_rng(8).uniform(0, 2, (30, 30))
+        oracle_cost, plan = exact_ot_oracle(cost_matrix)
+        assert np.array_equal(np.sort(plan.values, axis=1)[:, -1], np.full(30, 1 / 30))
+        assert marginal_violation(plan) < 1e-12
+        assert oracle_cost == plan.cost == pytest.approx((plan.values * cost_matrix).sum(), abs=1e-12)
+
+
+def assignment_costs(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    return {
+        "continuous": lambda: rng.uniform(0, 2, (n, n)),
+        "tied": lambda: rng.integers(0, 3, (n, n)) / 2.0,
+        "zero_one": lambda: (rng.random((n, n)) < 0.7).astype(float),
+        "negative": lambda: -100 * rng.uniform(0, 2, (n, n)),
+    }[kind]()
+
+
+class TestAssignment:
+    """``assignment_solve`` returns a permutation and duals that certify it
+    optimal; scipy's solver is a second, independent check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.sampled_from(["continuous", "tied", "zero_one"]), st.integers(0, 2**32 - 1))
+    def test_duals_certify_the_assignment(self, n, kind, seed):
+        cost = assignment_costs(np.random.default_rng(seed), n, kind)
+        cols, u, v = assignment_solve(cost)
+        assert sorted(cols.tolist()) == list(range(n))
+        assert (u[:, None] + v[None, :] <= cost + 1e-12).all()
+        assert abs(cost[np.arange(n), cols].sum() - (u.sum() + v.sum())) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.sampled_from(["continuous", "tied", "zero_one", "negative"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_scipy(self, n, kind, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        cost = assignment_costs(np.random.default_rng(seed), n, kind)
+        cols = assignment_solve(cost)[0]
+        rows, scipy_cols = optimize.linear_sum_assignment(cost)
+        scale = np.abs(cost).max() + 1.0
+        assert abs(cost[rows, cols].sum() - cost[rows, scipy_cols].sum()) <= 1e-12 * n * scale
+
+    def test_greedy_start_can_be_wrong_and_is_repaired(self):
+        # row 0 takes column 0 greedily; the optimum gives column 0 to row 1
+        cols, u, v = assignment_solve(np.array([[0.0, 0.1], [0.0, 5.0]]))
+        assert cols.tolist() == [1, 0]
+        assert u.sum() + v.sum() == pytest.approx(0.1, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (0, 0), (4,), (1, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            assignment_solve(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        cost = np.zeros((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(NonFiniteCostError):
+            assignment_solve(cost)
 
 
 class TestMarginalViolation:
