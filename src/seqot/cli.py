@@ -197,7 +197,12 @@ def cmd_metrics(args) -> int:
 
 def cmd_compare(args) -> int:
     table = _load_table(args)
-    ref = read_corpus(args.ref_file, args.lowercase)[0]
+    refs = read_corpus(args.ref_file, args.lowercase)
+    if len(refs) > 1:
+        raise UsageError(
+            f"compare takes one reference sentence, got {len(refs)} (second: {args.ref_file} line {refs.lines[1]})"
+        )
+    ref = refs[0]
     candidates = []
     for path in args.candidate_files:
         candidates.extend(read_corpus(path, args.lowercase))

@@ -5,13 +5,18 @@ BLEU here is the corpus-level, unsmoothed variant with uniform 1/n weights
 and a brevity penalty; in the unconditional-generation convention the whole
 reference corpus serves as the reference set for every hypothesis, so a
 zero-overlap hypothesis corpus legitimately scores 0.
+
+n-grams are counted as integer codes over numpy arrays. Every count is an
+exact integer and the floats come from one scalar formula (:func:`_bleu`),
+so the scores equal, bit for bit, those of counting each sentence's n-gram
+tuples in a ``Counter`` (the tests hold such counts as oracles).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -39,8 +44,34 @@ def _check_order(order: int):
         raise ValueError(f"BLEU order must be one of {BLEU_ORDERS}, got {order}")
 
 
-def _ngrams(sentence: Sentence, k: int) -> Counter:
-    return Counter(tuple(sentence[i : i + k]) for i in range(len(sentence) - k + 1))
+def _gram_counts(sentences: Sequence[Sentence], order: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Per order k = 1..order, the ``(sentence, gram, count)`` triples of the
+    k-grams that lie inside one sentence, and the number of distinct grams.
+
+    Tokens map to dense ids through one dict; an order-k code re-ranks the
+    pair (order k-1 code, next token id), so equal grams of any sentence get
+    equal codes. Every code, id, count and sentence index is below the corpus
+    size (tokens plus sentences), so a packed key stays below that size plus
+    one, squared: far below 2**63, so no int64 overflows, for any corpus that
+    fits in memory.
+    """
+    flat = list(chain.from_iterable(sentences))
+    ids = {token: i for i, token in enumerate(dict.fromkeys(flat))}
+    tokens = np.fromiter(map(ids.__getitem__, flat), dtype=np.int64, count=len(flat))
+    lens = np.array([len(s) for s in sentences], dtype=np.int64)
+    sentence = np.repeat(np.arange(len(lens)), lens)
+    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens))  # tokens left in the sentence
+    starts, codes, n_codes = np.arange(len(tokens)), tokens, len(ids)
+    out = []
+    for k in range(1, order + 1):
+        if k > 1:
+            keep = room[starts] >= k
+            starts = starts[keep]
+            ranked, codes = np.unique(codes[keep] * len(ids) + tokens[starts + k - 1], return_inverse=True)
+            n_codes = len(ranked)
+        keys, counts = np.unique(sentence[starts] * n_codes + codes, return_counts=True)
+        out.append((keys // n_codes, keys % n_codes, counts, n_codes))
+    return out
 
 
 def _closest_ref_len(hyp_len: int, ref_lens: Iterable[int]) -> int:
@@ -71,17 +102,14 @@ def corpus_bleu(hyps: Sequence[Sentence], refs: Sequence[Sentence], order: int) 
         raise EmptyCorpusError("reference")
     _check_order(order)
 
-    max_counts: list[dict] = []
-    for k in range(1, order + 1):
-        table: dict = {}
-        for ref in refs:
-            for gram, count in _ngrams(ref, k).items():
-                if count > table.get(gram, 0):
-                    table[gram] = count
-        max_counts.append(table)
+    matched, total = [], []
+    for sentence, gram, count, n_grams in _gram_counts([*hyps, *refs], order):
+        is_hyp = sentence < len(hyps)
+        max_ref = np.zeros(n_grams, dtype=np.int64)
+        np.maximum.at(max_ref, gram[~is_hyp], count[~is_hyp])
+        matched.append(int(np.minimum(count[is_hyp], max_ref[gram[is_hyp]]).sum()))
+        total.append(int(count[is_hyp].sum()))
 
-    matched = [0] * order
-    total = [0] * order
     hyp_len_sum = 0
     ref_len_sum = 0
     ref_lens = {len(r) for r in refs}
@@ -89,11 +117,6 @@ def corpus_bleu(hyps: Sequence[Sentence], refs: Sequence[Sentence], order: int) 
     for hyp in hyps:
         hyp_len_sum += len(hyp)
         ref_len_sum += closest_ref_len[len(hyp)]
-        for k in range(1, order + 1):
-            counts = _ngrams(hyp, k)
-            table = max_counts[k - 1]
-            matched[k - 1] += sum(min(c, table.get(g, 0)) for g, c in counts.items())
-            total[k - 1] += max(len(hyp) - k + 1, 0)
 
     return _bleu(list(zip(matched, total)), hyp_len_sum, ref_len_sum, order)
 
@@ -120,40 +143,32 @@ def self_bleu(
         keep = sorted(rng.choice(len(sentences), size=cap, replace=False))
         sentences = [sentences[i] for i in keep]
 
-    # top-2 max counts per gram so each sentence's leave-one-out reference
-    # table is O(1) to derive instead of rebuilt from scratch
-    per_sentence_counts = [[_ngrams(s, k) for k in range(1, order + 1)] for s in sentences]
-    top2: list[dict] = []
-    for k in range(order):
-        table: dict = {}
-        for idx, counts in enumerate(per_sentence_counts):
-            for gram, c in counts[k].items():
-                best, owner, second = table.get(gram, (0, -1, 0))
-                if c > best:
-                    table[gram] = (c, idx, best)
-                elif c > second:
-                    table[gram] = (best, owner, c)
-        top2.append(table)
+    # leave-one-out limits: sorted by gram and falling count, each gram's top
+    # entry is clipped to the runner-up's count (0 if it has none), and every
+    # other entry is within the top count, so it is matched in full
+    matched = []
+    for sentence, gram, count, _ in _gram_counts(sentences, order):
+        by_gram = np.lexsort((-count, gram))
+        sentence, gram, count = sentence[by_gram], gram[by_gram], count[by_gram]
+        top = np.r_[True, gram[1:] != gram[:-1]]
+        runner_up = np.r_[np.where(top[1:], 0, count[1:]), 0]
+        per_sentence = np.zeros(len(sentences), dtype=np.int64)
+        np.add.at(per_sentence, sentence, np.where(top, runner_up, count))
+        matched.append(per_sentence.tolist())
 
     lens = [len(s) for s in sentences]
-    len_counts = Counter(lens)
+    values, sharing = np.unique(lens, return_counts=True)
     # leave-one-out reference length per sentence length: a sentence's own
     # length is a candidate only if another sentence shares it
     loo_ref_len = {
-        n: _closest_ref_len(n, [m for m in len_counts if m != n or len_counts[m] > 1]) for n in len_counts
+        n: _closest_ref_len(n, [m for m, c in zip(values.tolist(), sharing.tolist()) if m != n or c > 1])
+        for n in values.tolist()
     }
 
     scores = []
-    for i, counts in enumerate(per_sentence_counts):
-        precisions = []
-        for k in range(order):
-            num = 0
-            for gram, c in counts[k].items():
-                best, owner, second = top2[k][gram]
-                limit = second if owner == i else best
-                num += min(c, limit)
-            precisions.append((num, max(lens[i] - k, 0)))
-        scores.append(_bleu(precisions, lens[i], loo_ref_len[lens[i]], order))
+    for i, n in enumerate(lens):
+        precisions = [(matched[k][i], max(n - k, 0)) for k in range(order)]
+        scores.append(_bleu(precisions, n, loo_ref_len[n], order))
     return float(np.mean(scores))
 
 

@@ -296,6 +296,14 @@ class TestCompare:
         assert code == 0
         assert len(json.loads(out)["candidates"]) == 1
 
+    def test_a_second_reference_line_exits_two_naming_it(self, capsys, tmp_path):
+        ref = tmp_path / "r.txt"
+        ref.write_text((TRIPLE / "reference.txt").read_text() + "\nyoung kid rides one cow down main road\n")
+        code, out, err = run_cli(capsys, "compare", str(ref), str(TRIPLE / "candidates.txt"), "--embeddings", EMB)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: compare takes one reference sentence, got 2 (second: {ref} line 3)\n"
+
     def test_csv_table(self, capsys, tmp_path):
         candidate = tmp_path / "c.txt"
         candidate.write_text("young kid rides one bike down main road\n")

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from seqot.embeddings import DegenerateVectorError, EmbeddingTable
 from seqot.text_metrics import (
+    BLEU_ORDERS,
+    SELF_BLEU_CAP,
     BleuReport,
     EmptyCorpusError,
     TooFewSentencesError,
     _bleu,
+    _closest_ref_len,
     corpus_bleu,
     f1_bleu,
     naive_semantic_score,
@@ -107,8 +110,79 @@ class TestCorpusBleuBruteForce:
         refs = [["a", "b"], ["b", "c", "a", "b"]]
         assert corpus_bleu(hyps, refs, 2) == brute_force_bleu(hyps, refs, 2) == math.sqrt(3 / 3 * 2 / 2)
 
+    def test_int_and_tuple_tokens_score_as_their_strings(self):
+        # a Sentence is any sequence of hashables; tokens compare by equality
+        hyps = [[0, 1, 2, 1], [2, 1, 0]]
+        refs = [[0, 1, 2], [1, 0, 1, 2, 2]]
+        expected = corpus_bleu([[str(t) for t in s] for s in hyps], [[str(t) for t in s] for s in refs], 2)
+        assert 0.0 < expected < 1.0
+        assert corpus_bleu(hyps, refs, 2) == brute_force_bleu(hyps, refs, 2) == expected
+        as_tuples = [[(t, "x") for t in s] for s in hyps], [[(t, "x") for t in s] for s in refs]
+        assert corpus_bleu(*as_tuples, 2) == brute_force_bleu(*as_tuples, 2) == expected
+
+
+def top_two_self_bleu(hyps, order, cap=SELF_BLEU_CAP, seed=0):
+    """Self-BLEU from per-sentence ``Counter``s: each gram's top count, its
+    owner and its runner-up give each sentence's leave-one-out limits."""
+    sentences = list(hyps)
+    if len(sentences) > cap:
+        rng = np.random.default_rng(seed)
+        sentences = [sentences[i] for i in sorted(rng.choice(len(sentences), size=cap, replace=False))]
+    counts = [[Counter(tuple(s[i : i + k]) for i in range(len(s) - k + 1)) for k in range(1, order + 1)]
+              for s in sentences]
+    top2 = [{} for _ in range(order)]
+    for idx, per_order in enumerate(counts):
+        for table, grams in zip(top2, per_order):
+            for gram, c in grams.items():
+                best, owner, second = table.get(gram, (0, -1, 0))
+                if c > best:
+                    table[gram] = (c, idx, best)
+                elif c > second:
+                    table[gram] = (best, owner, c)
+    lens = Counter(len(s) for s in sentences)
+    scores = []
+    for idx, (s, per_order) in enumerate(zip(sentences, counts)):
+        precisions = []
+        for k, (table, grams) in enumerate(zip(top2, per_order)):
+            matched = 0
+            for gram, c in grams.items():
+                best, owner, second = table[gram]
+                matched += min(c, second if owner == idx else best)
+            precisions.append((matched, max(len(s) - k, 0)))
+        ref_len = _closest_ref_len(len(s), [m for m in lens if m != len(s) or lens[m] > 1])
+        scores.append(_bleu(precisions, len(s), ref_len, order))
+    return float(np.mean(scores))
+
+
+def zipf_corpus(rng, lines):
+    # about 2000 distinct tokens in 1000 lines: many distinct grams to re-rank
+    weights = 1 / np.arange(1, 3001)
+    return [[f"w{t}" for t in rng.choice(3000, rng.integers(1, 25), p=weights / weights.sum())]
+            for _ in range(lines)]
+
+
+def test_array_counts_equal_both_oracles_on_a_zipf_corpus():
+    rng = np.random.default_rng(11)
+    hyps, refs = zipf_corpus(rng, 1000), zipf_corpus(rng, 1000)
+    assert len({t for s in hyps for t in s}) > 1800
+    for order in BLEU_ORDERS:
+        assert corpus_bleu(hyps, refs, order) == brute_force_bleu(hyps, refs, order)
+        assert self_bleu(hyps, order) == top_two_self_bleu(hyps, order)
+
 
 class TestSelfBleu:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from("abc"), max_size=7), min_size=2, max_size=14),
+        st.sampled_from(BLEU_ORDERS),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_counter_top_two_exactly(self, corpus, order, cap, seed):
+        # three tokens tie the top count often; empty and short sentences and
+        # corpora above the cap (subsampled) are all drawn
+        assert self_bleu(corpus, order, cap=cap, seed=seed) == top_two_self_bleu(corpus, order, cap, seed)
+
     def test_all_identical_is_one(self):
         corpus = [["a", "b", "c"]] * 4
         assert self_bleu(corpus, 2) == 1.0
