@@ -4,12 +4,18 @@ interquartile range), the bound check of unclaimed metrics and the order of
 the traced rounds."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 
-SPEC = importlib.util.spec_from_file_location("bench", Path(__file__).resolve().parent.parent / "scripts" / "bench.py")
-bench = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(bench)
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = load_script("bench")
 
 
 def pairs(parent, change):
@@ -94,3 +100,11 @@ def test_unclaimed_metrics_get_a_bound_check_and_a_warning(capsys):
     assert capsys.readouterr().err.splitlines() == [
         "bench: warning: eval-corpus setup_s is worse against its bound 0.25: parent median 1.045, change 1.463"
     ]
+
+
+def test_solver_sizes_prints_a_time_per_solver_and_size(capsys):
+    assert load_script("solver_sizes").main(["--sizes", "2,4", "--repeats", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [row["n"] for row in report["sizes"]] == [2, 4]
+    for row in report["sizes"]:
+        assert row["assignment_solve_us"] > 0 and row["ipot_solve_us"] > 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqot.embeddings import build_cost_matrix
+from seqot.embeddings import PAD_REAL_COST, build_cost_matrix
 from seqot.ot_core import (
     EPSILON_FLOOR,
     FEASIBILITY_TOL,
@@ -94,13 +94,91 @@ class TestOracle:
         assert oracle_cost == plan.cost == pytest.approx((plan.values * cost_matrix).sum(), abs=1e-12)
 
 
+def padded_costs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The shape ``build_cost_matrix`` gives a pair of lengths ``n`` and
+    ``m <= n``: a cosine block in [0, 2], the shorter side's missing rows or
+    columns at ``PAD_REAL_COST``."""
+    m = int(rng.integers(1, n + 1))
+    cost = np.full((n, n), PAD_REAL_COST)
+    block = rng.uniform(0, 2, (n, m))
+    if rng.random() < 0.5:
+        cost[:, :m] = block
+    else:
+        cost[:m, :] = block.T
+    return cost
+
+
 def assignment_costs(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
     return {
         "continuous": lambda: rng.uniform(0, 2, (n, n)),
         "tied": lambda: rng.integers(0, 3, (n, n)) / 2.0,
         "zero_one": lambda: (rng.random((n, n)) < 0.7).astype(float),
         "negative": lambda: -100 * rng.uniform(0, 2, (n, n)),
+        "padded": lambda: padded_costs(rng, n),
     }[kind]()
+
+
+def numpy_assignment_solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The same shortest-augmenting-path solver with every Dijkstra step on
+    numpy arrays, the form ``assignment_solve`` had before it ran on Python
+    floats; kept as an oracle for its exact bits."""
+    c = np.asarray(cost, dtype=float)
+    n = c.shape[0]
+    u = c.min(axis=1)
+    v = np.zeros(n)
+    col_of = [-1] * n
+    row_of = [-1] * n
+    rows, cols = np.nonzero(c == u[:, None])
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if col_of[i] < 0 and row_of[j] < 0:
+            col_of[i] = j
+            row_of[j] = i
+    free_cols = np.array([r < 0 for r in row_of])
+
+    for start in [i for i in range(n) if col_of[i] < 0]:
+        dist = np.full(n, np.inf)
+        pred = np.empty(n, dtype=np.intp)
+        shut = v.copy()  # -inf on scanned columns, so their dist and pred stay fixed
+        path_cols, path_lows, path_rows = [], [], [start]
+        i, low = start, 0.0
+        while True:
+            reach = c[i] - shut
+            reach += low - u[i]
+            better = reach < dist
+            np.copyto(dist, reach, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(dist.argmin())
+            low = dist[j]
+            if row_of[j] >= 0:
+                free = (dist == low) & free_cols
+                k = int(free.argmax())
+                j = k if free[k] else j
+            path_cols.append(j)
+            path_lows.append(low)
+            dist[j], shut[j] = np.inf, -np.inf
+            i = row_of[j]
+            if i < 0:
+                break
+            path_rows.append(i)
+        v[path_cols] -= low - np.array(path_lows)
+        u[start] += low
+        u[path_rows[1:]] += low - np.array(path_lows[:-1])
+        free_cols[j] = False
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return np.array(col_of), u, v
+
+
+def assert_same_as_numpy_form(cost: np.ndarray) -> None:
+    cols, u, v = assignment_solve(cost)
+    want_cols, want_u, want_v = numpy_assignment_solve(cost)
+    assert np.array_equal(cols, want_cols)
+    assert np.array_equal(u, want_u)
+    assert np.array_equal(v, want_v)
 
 
 class TestAssignment:
@@ -144,6 +222,40 @@ class TestAssignment:
         cost[1, 2] = bad
         with pytest.raises(NonFiniteCostError):
             assignment_solve(cost)
+
+
+class TestAssignmentMatchesNumpyForm:
+    """Solving on Python floats returns the numpy form's columns and duals
+    bit for bit, ties and padded sentence pairs included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.sampled_from(["continuous", "tied", "zero_one", "negative", "padded"]),
+           st.integers(0, 2**32 - 1))
+    def test_same_bits(self, n, kind, seed):
+        assert_same_as_numpy_form(assignment_costs(np.random.default_rng(seed), n, kind))
+
+    @pytest.mark.parametrize("n", [45, 60, 120])
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "padded"])
+    def test_same_bits_past_sentence_sizes(self, n, kind):
+        assert_same_as_numpy_form(assignment_costs(np.random.default_rng(n), n, kind))
+
+
+class TestAssignmentApi:
+    def test_input_is_left_unmodified(self):
+        cost = padded_costs(np.random.default_rng(3), 9)
+        before = cost.copy()
+        assignment_solve(cost)
+        assert np.array_equal(cost, before)
+
+    def test_accepts_read_only_int_and_nested_list_costs(self):
+        values = np.random.default_rng(4).uniform(0, 2, (6, 6))
+        read_only = values.copy()
+        read_only.setflags(write=False)
+        for cost in (read_only, np.rint(4 * values).astype(int), values.tolist()):
+            cols, u, v = assignment_solve(cost)
+            assert cols.dtype.kind == "i" and u.dtype == v.dtype == np.float64
+            assert cols.shape == u.shape == v.shape == (6,)
+            assert_same_as_numpy_form(cost)
 
 
 class TestMarginalViolation:
