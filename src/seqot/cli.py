@@ -2,26 +2,27 @@
 metric comparison tables, and reproducible toy training runs.
 
 All commands emit machine-readable JSON (human-readable tables behind
-``--table``), embed a :mod:`seqot.manifest` in every artifact, and use the
-exit-code convention 0 = success, 2 = usage/input error, 1 = internal
-error.
+``--table``), embed a run manifest in every artifact (see
+:func:`build_manifest`), and use the exit-code convention 0 = success,
+2 = usage/input error, 1 = internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .configfile import ConfigError, build_training_setup, parse_config_text
+from .configfile import ConfigError, build_training_setup, construct, parse_config_text
 from .embeddings import EmbeddingError, OovPolicy, load_embeddings, read_input
-from .manifest import build_manifest
 from .nested import NestedSolveError, best_matches, nested_wasserstein, score_matrices
 from .ot_core import IpotConfig
 from .seq_match import score_pair
@@ -32,6 +33,7 @@ from .text_metrics import (
     TooFewSentencesError,
     corpus_bleu,
     naive_semantic_score,
+    subsample,
 )
 
 
@@ -68,18 +70,26 @@ def _load_table(args) -> "EmbeddingTable":
     return load_embeddings(args.embeddings, policy)
 
 
-def _ot_config(args) -> IpotConfig:
-    try:
-        return IpotConfig(gamma=args.gamma, outer_iters=args.outer_iters)
-    except ValueError as exc:  # it names the argument at fault first; report the flag
-        name = str(exc).split(" ", 1)[0]
-        raise UsageError(str(exc).replace(name, "--" + name.replace("_", "-"), 1)) from exc
+def build_manifest(command: str, config: dict, inputs: list, seed: int | None) -> dict:
+    """Enough resolved state to reproduce an output byte for byte: command,
+    resolved configuration, sha256 of each input file's bytes as
+    :func:`read_input` reads them, seed and tool version. Nothing
+    time-dependent goes in, so identical invocations give identical bytes."""
+    return {
+        "command": command,
+        "config": config,
+        "inputs": {str(p): hashlib.sha256(read_input(p)).hexdigest() for p in inputs},
+        "seed": seed,
+        "version": __version__,
+    }
 
 
-def _emit(args, payload: dict, table_text: str | None = None) -> None:
-    if getattr(args, "table", False) and table_text is not None:
+def _emit(args, config: dict, inputs: list, body: dict, table_text: str) -> None:
+    """Write a scoring command's JSON, its manifest first, or its ``--table`` text."""
+    if args.table:
         rendered = table_text
     else:
+        payload = {"manifest": build_manifest(args.command, config, inputs, args.seed), **body}
         rendered = json.dumps(payload, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
@@ -114,30 +124,16 @@ def cmd_score(args) -> int:
             scored = score_pair(table, hyp, ref)
             pairs.append({"index": index, "w_distance": scored.distance, "w_reward": scored.reward})
 
-    manifest = build_manifest(
-        "score",
-        _resolved_common(args, {"mode": "corpus" if args.corpus else "pairwise"}),
-        [args.embeddings, args.hyp_file, args.ref_file],
-        seed=args.seed,
-    )
-    payload = {
-        "manifest": manifest,
+    body = {
         "pairs": pairs,
         "mean_distance": float(np.mean([p["w_distance"] for p in pairs])),
         "mean_reward": float(np.mean([p["w_reward"] for p in pairs])),
     }
     lines = ["index,w_distance,w_reward"]
     lines += [f"{p['index']},{p['w_distance']!r},{p['w_reward']!r}" for p in pairs]
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, _resolved_common(args, {"mode": "corpus" if args.corpus else "pairwise"}),
+          [args.embeddings, args.hyp_file, args.ref_file], body, "\n".join(lines) + "\n")
     return 0
-
-
-def _subsample(sentences: list, cap: int, seed: int, stream: int) -> tuple[list, list[int]]:
-    if len(sentences) <= cap:
-        return sentences, list(range(len(sentences)))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
-    keep = sorted(int(i) for i in rng.choice(len(sentences), size=cap, replace=False))
-    return [sentences[i] for i in keep], keep
 
 
 def cmd_nested(args) -> int:
@@ -145,26 +141,20 @@ def cmd_nested(args) -> int:
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     table = _load_table(args)
-    config = _ot_config(args)
+    config = construct(IpotConfig, {"gamma": args.gamma, "outer_iters": args.outer_iters},
+                       lambda name: "--" + name.replace("_", "-"), UsageError)
     corpus_a = read_corpus(args.corpus_a, args.lowercase)
     corpus_b = read_corpus(args.corpus_b, args.lowercase)
-    set_a, idx_a = _subsample(corpus_a, args.k, args.seed, 0)
-    set_b, idx_b = _subsample(corpus_b, args.k_prime, args.seed, 1)
+    set_a, idx_a = subsample(corpus_a, args.k, np.random.default_rng([args.seed, 0]))
+    set_b, idx_b = subsample(corpus_b, args.k_prime, np.random.default_rng([args.seed, 1]))
 
     result = nested_wasserstein(table, set_a, set_b, config)
-    manifest = build_manifest(
-        "nested",
-        _resolved_common(args, {"k": args.k, "k_prime": args.k_prime, "gamma": args.gamma,
-                                "outer_iters": args.outer_iters}),
-        [args.embeddings, args.corpus_a, args.corpus_b],
-        seed=args.seed,
-    )
-    payload = {
-        "manifest": manifest,
+    rows, cols = result.seq_cost_matrix.shape
+    body = {
         "w_nc": result.distance,
         "outer_plan": {
-            "rows": result.k,
-            "cols": result.k_prime,
+            "rows": rows,
+            "cols": cols,
             "converged": result.outer_plan.converged,
             "iterations_used": result.outer_plan.iterations_used,
             "values": result.outer_plan.values.tolist(),
@@ -175,23 +165,19 @@ def cmd_nested(args) -> int:
     }
     lines = [f"w_nc,{result.distance!r}"]
     lines += [f"r_ns[{i}],{r!r}" for i, r in enumerate(result.per_hyp_reward)]
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, _resolved_common(args, {"k": args.k, "k_prime": args.k_prime, "gamma": args.gamma,
+                                        "outer_iters": args.outer_iters}),
+          [args.embeddings, args.corpus_a, args.corpus_b], body, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_metrics(args) -> int:
     hyps = read_corpus(args.hyp_file, args.lowercase)
     refs = read_corpus(args.ref_file, args.lowercase)
-    report = BleuReport.compute(hyps, refs, args.order, seed=args.seed)
-    manifest = build_manifest(
-        "metrics",
-        {"order": args.order, "lowercase": bool(args.lowercase)},
-        [args.hyp_file, args.ref_file],
-        seed=args.seed,
-    )
-    payload = {"manifest": manifest, **report.to_dict()}
-    lines = [f"{k},{v!r}" for k, v in report.to_dict().items()]
-    _emit(args, payload, "\n".join(lines) + "\n")
+    report = asdict(BleuReport.compute(hyps, refs, args.order, seed=args.seed))
+    lines = [f"{k},{v!r}" for k, v in report.items()]
+    _emit(args, {"order": args.order, "lowercase": bool(args.lowercase)}, [args.hyp_file, args.ref_file],
+          report, "\n".join(lines) + "\n")
     return 0
 
 
@@ -220,19 +206,13 @@ def cmd_compare(args) -> int:
             }
         )
 
-    manifest = build_manifest(
-        "compare",
-        _resolved_common(args, {"order": args.order}),
-        [args.embeddings, args.ref_file, *args.candidate_files],
-        seed=args.seed,
-    )
-    payload = {"manifest": manifest, "reference": " ".join(ref), "candidates": rows}
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=["index", "bleu", "naive", "w_reward", "text"])
     writer.writeheader()
     for row in rows:
         writer.writerow({k: row[k] for k in writer.fieldnames})
-    _emit(args, payload, buffer.getvalue())
+    _emit(args, _resolved_common(args, {"order": args.order}), [args.embeddings, args.ref_file, *args.candidate_files],
+          {"reference": " ".join(ref), "candidates": rows}, buffer.getvalue())
     return 0
 
 
@@ -243,7 +223,7 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out or "train_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = build_manifest("train", setup.resolved, [args.config], seed=setup.sil.seed)
+    manifest = build_manifest("train", setup.resolved, [args.config], setup.sil.seed)
 
     log_lines = [json.dumps({"manifest": manifest})]
     log_lines += [json.dumps(file_log_record(r)) for r in result.records]

@@ -111,14 +111,18 @@ def _show(value) -> str:
     return value.value if isinstance(value, Enum) else str(value).lower()
 
 
-def _make(target: str, constructor, args: dict, **fixed):
-    """``constructor(**fixed, **args[target])``. Constructors name the
-    argument at fault first in their ValueErrors; report its key instead."""
+def construct(constructor, kwargs: dict, rename, error: type[ValueError] = ConfigError):
+    """``constructor(**kwargs)``. Constructors name the argument at fault
+    first in their ValueErrors; ``error`` reports ``rename(argument)`` instead."""
     try:
-        return constructor(**fixed, **args[target])
+        return constructor(**kwargs)
     except ValueError as exc:
         name = str(exc).split(" ", 1)[0]
-        raise ConfigError(str(exc).replace(name, _KEY_OF.get(f"{target}.{name}", name), 1)) from exc
+        raise error(str(exc).replace(name, rename(name), 1)) from exc
+
+
+def _make(target: str, constructor, args: dict, **fixed):
+    return construct(constructor, {**fixed, **args[target]}, lambda name: _KEY_OF.get(f"{target}.{name}", name))
 
 
 @dataclass(frozen=True)

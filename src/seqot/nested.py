@@ -38,12 +38,10 @@ class EmptySetError(ValueError):
 
 
 class NestedSolveError(Exception):
-    """Inner or outer solve failure, tagged with the offending pair."""
+    """An inner pair's solve failure, tagged with the offending pair."""
 
-    def __init__(self, stage: str, i: int | None = None, j: int | None = None):
-        where = f" for pair ({i}, {j})" if stage == "inner" else ""
-        super().__init__(f"{stage} solve failed{where}")
-        self.stage = stage
+    def __init__(self, i: int, j: int):
+        super().__init__(f"inner solve failed for pair ({i}, {j})")
         self.i = i
         self.j = j
 
@@ -62,14 +60,6 @@ class NestedResult:
     distance: float
     per_hyp_reward: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.seq_cost_matrix.shape[0]
-
-    @property
-    def k_prime(self) -> int:
-        return self.seq_cost_matrix.shape[1]
-
 
 def score_matrices(
     table: EmbeddingTable,
@@ -81,19 +71,17 @@ def score_matrices(
 
     Each pair is solved at most once per table: on a miss
     ``score_pair`` runs and its two floats are kept in
-    ``table.pair_scores``. The key is the flat tuple
-    ``(len(hyp), *hyp, *ref)``: the length fixes where ``hyp`` ends, so no
-    two distinct pairs share a key. A failed pair raises
-    :class:`NestedSolveError` ``("inner", i, j)`` chained from the cause.
+    ``table.pair_scores``, keyed by the pair ``(hyp_tokens, ref_tokens)``
+    of token tuples. A failed pair raises :class:`NestedSolveError`
+    ``(i, j)`` chained from the cause.
     """
     memo = table.pair_scores
-    ref_keys = _keys(refs)
+    hyp_keys, ref_keys = _keys(hyps), _keys(refs)
     distances = np.empty((len(hyps), len(refs)))
     rewards = np.empty((len(hyps), len(refs)))
     for i, hyp in enumerate(hyps):
-        hyp_key = (len(hyp), *map(sys.intern, hyp))
         for j, ref in enumerate(refs):
-            hit = _lookup(memo, hyp_key + ref_keys[j], i, j, score_pair, table, hyp, ref)
+            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), i, j, score_pair, table, hyp, ref)
             distances[i, j], rewards[i, j] = hit.real, hit.imag
     return distances, rewards
 
@@ -119,17 +107,16 @@ def best_matches(
     if len(refs) == 0:
         raise EmptySetError("refs")
     memo = table.pair_scores
-    ref_keys = _keys(refs)
+    hyp_keys, ref_keys = _keys(hyps), _keys(refs)
     best = []
     for i, hyp in enumerate(hyps):
-        hyp_key = (len(hyp), *map(sys.intern, hyp))
         costs = []
         for j, ref in enumerate(refs):
             try:
                 # seq_match's binding, the one score_pair builds through
                 costs.append(seq_match.build_cost_matrix(table, hyp, ref))
             except Exception as exc:
-                raise NestedSolveError("inner", i, j) from exc
+                raise NestedSolveError(i, j) from exc
         bounds = np.array([reward_bound(cm) for cm in costs])
         top = (-1, math.nan, -math.inf)
         for j in np.argsort(-bounds, kind="stable").tolist():
@@ -139,18 +126,18 @@ def best_matches(
             # and in [0, 2], on which the exact solve cannot raise.
             if bounds[j] < top[2]:
                 break
-            hit = _lookup(memo, hyp_key + ref_keys[j], i, j, score_costs, costs[j])
+            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), i, j, score_costs, costs[j])
             if hit.imag > top[2] or (hit.imag == top[2] and j < top[0]):
                 top = (j, hit.real, hit.imag)
         best.append(top)
     return best
 
 
-def _keys(refs: Sequence[Sequence[str]]) -> list[tuple]:
+def _keys(seqs: Sequence[Sequence[str]]) -> list[tuple]:
     # Memory per entry matters (a training run stores thousands): the tokens
     # are interned so keys share one string per token rather than holding
-    # each caller's fresh copies.
-    return [tuple(map(sys.intern, ref)) for ref in refs]
+    # each caller's fresh copies, and a call's entries share one tuple per sequence.
+    return [tuple(map(sys.intern, seq)) for seq in seqs]
 
 
 def _lookup(memo: dict, key: tuple, i: int, j: int, solve, *args) -> complex:
@@ -162,7 +149,7 @@ def _lookup(memo: dict, key: tuple, i: int, j: int, solve, *args) -> complex:
         try:
             scored = solve(*args)
         except Exception as exc:
-            raise NestedSolveError("inner", i, j) from exc
+            raise NestedSolveError(i, j) from exc
         hit = memo[key] = complex(scored.distance, scored.reward)
     return hit
 
@@ -177,7 +164,8 @@ def nested_wasserstein(
     under ``config``.
 
     With K = K' = 1 this degenerates to the plain sequence distance of the
-    single pair.
+    single pair. Once both sets are checked nonempty the outer costs are
+    finite and at least 1 x 1, so only an inner pair can fail.
     """
     if len(set_a) == 0:
         raise EmptySetError("A")
@@ -188,12 +176,7 @@ def nested_wasserstein(
             raise ValueError(f"set {name} contains an empty sequence")
 
     costs, rewards = score_matrices(table, set_a, set_b)
-
-    try:
-        outer = ipot_solve(costs, config)
-    except Exception as exc:
-        raise NestedSolveError("outer") from exc
-
+    outer = ipot_solve(costs, config)
     per_hyp = (outer.values * rewards).sum(axis=1)
     return NestedResult(
         seq_cost_matrix=costs,

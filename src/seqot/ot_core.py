@@ -183,6 +183,19 @@ def assignment_solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     nearest columns the first is taken, unless a free one ties with it:
     then the first free one is, which ends the search.
 
+    Costs raise ``ValueError`` unless ``8 * n * M`` is finite, where M is
+    the largest cost in size; this keeps every path length and dual finite.
+    With S = max - min, at most 2M: before each search ``u`` lies in
+    [min, max] and ``v`` in [-S, 0], since a column still free has ``v = 0``
+    and no reduced cost is negative. A search's path lengths are at most S
+    once scanned (the direct step from its row to a free column costs at
+    most S) and 3S before; each term of a relaxation is at most M + S in
+    size; and the dual moves leave ``u <= max + S`` and ``v >= -2S``. So
+    every value is at most M + 3S <= 7M in size, and the assignment's cost
+    and the duals' sums at most n times that; the eighth M is room for
+    rounding. A bound on ``n * S`` alone is not enough: on costs near the
+    float limit, ``low - u[i]`` can overflow.
+
     It runs on Python floats, since at sentence widths a numpy call per
     Dijkstra step costs more than its arithmetic. On uniform costs (one
     core, 2-vCPU x86 host) a numpy form of the same steps took 3.5x as
@@ -192,11 +205,14 @@ def assignment_solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
         raise ValueError(f"assignment needs a nonempty square matrix, got shape {c.shape}")
-    if not np.isfinite(c).all():
+    size = float(np.abs(c).max())
+    if not math.isfinite(size):
         raise NonFiniteCostError()
+    n = len(c)
+    if not math.isfinite(8 * n * size):
+        raise ValueError(f"assignment costs up to {size!r} in size are too large to solve in floats at n = {n}")
 
     c = c.tolist()
-    n = len(c)
     u = [min(row) for row in c]
     v = [0.0] * n
     col_of = [-1] * n

@@ -107,7 +107,7 @@ class ReplayBuffer:
         condition: int | None = None,
     ) -> list[BufferEntry]:
         """Uniform sample without replacement of up to ``count`` entries."""
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        gen = np.random.default_rng(rng)
         pool = self._pool(condition)
         take = min(count, len(pool))
         picks = gen.choice(len(pool), size=take, replace=False)

@@ -212,7 +212,7 @@ def sample_trajectories(
     cdf = _step_table(policy, env).cumsum(axis=-1)
     # the sum may round below 1, so a draw past every entry takes the last token
     cdf[..., -1] = np.inf
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     condition = None
     if env.conditional:
         ids = env.condition_ids()

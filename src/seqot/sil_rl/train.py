@@ -101,12 +101,6 @@ def pretrain_mle(policy: Policy, env: ToyEnv, smoothing: float = 1.0) -> Policy:
     return Policy(policy.kind, policy.vocab_size, policy.horizon, params, policy.temperature)
 
 
-def _default_capacity(config: SilConfig, env: ToyEnv) -> int:
-    if config.buffer_capacity is not None:
-        return config.buffer_capacity
-    return 5 if env.conditional else 64
-
-
 def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=None) -> TrainResult:
     """Run ``steps`` loop iterations and return the final policy plus logs.
 
@@ -126,7 +120,7 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
     if config.pretrain:
         policy = pretrain_mle(policy, env, config.pretrain_smoothing)
 
-    buffer = ReplayBuffer(capacity=_default_capacity(config, env), dedupe=config.buffer_dedupe)
+    buffer = ReplayBuffer(config.buffer_capacity or (5 if env.conditional else 64), config.buffer_dedupe)
     kinds = schedule_kinds(config.schedule, steps)
     running_baseline = 0.0
     records: list[dict] = []

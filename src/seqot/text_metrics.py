@@ -74,6 +74,15 @@ def _gram_counts(sentences: Sequence[Sentence], order: int) -> list[tuple[np.nda
     return out
 
 
+def subsample(items: Sequence, cap: int, rng) -> tuple[list, list[int]]:
+    """``items`` reduced to a uniform sample of ``cap`` of them, in order, if
+    there are more, and the kept indices; ``rng`` is a Generator or its seed."""
+    if len(items) <= cap:
+        return list(items), list(range(len(items)))
+    keep = sorted(np.random.default_rng(rng).choice(len(items), size=cap, replace=False).tolist())
+    return [items[i] for i in keep], keep
+
+
 def _closest_ref_len(hyp_len: int, ref_lens: Iterable[int]) -> int:
     # standard "best match length": closest reference length, ties -> shorter
     return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
@@ -137,11 +146,7 @@ def self_bleu(
     _check_order(order)
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
-    sentences = list(hyps)
-    if len(sentences) > cap:
-        rng = np.random.default_rng(seed)
-        keep = sorted(rng.choice(len(sentences), size=cap, replace=False))
-        sentences = [sentences[i] for i in keep]
+    sentences, _ = subsample(hyps, cap, seed)
 
     # leave-one-out limits: sorted by gram and falling count, each gram's top
     # entry is clipped to the runner-up's count (0 if it has none), and every
@@ -204,14 +209,6 @@ class BleuReport:
         test = corpus_bleu(hyps, refs, order)
         self_score = self_bleu(hyps, order, seed=seed)
         return cls(order=order, test_bleu=test, self_bleu=self_score, f1_bleu=f1_bleu(test, self_score))
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "test_bleu": self.test_bleu,
-            "self_bleu": self.self_bleu,
-            "f1_bleu": self.f1_bleu,
-        }
 
 
 def naive_semantic_score(

@@ -1,6 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,16 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def old_cli_subsample(sentences: list, cap: int, seed: int, stream: int) -> tuple[list, list[int]]:
+    """The CLI's own subsample before ``text_metrics.subsample`` replaced it,
+    kept as an oracle for the indices ``nested`` records."""
+    if len(sentences) <= cap:
+        return sentences, list(range(len(sentences)))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    keep = sorted(int(i) for i in rng.choice(len(sentences), size=cap, replace=False))
+    return [sentences[i] for i in keep], keep
 
 
 @pytest.fixture
@@ -191,6 +203,45 @@ class TestNested:
                             "--embeddings", ORTHO, "--seed", "5")
         payload = json.loads(out)
         assert len(payload["subsample_a"]) == 3
+
+    @pytest.mark.parametrize("cap", [1, 3, 6, 8, 12])
+    def test_subsample_indices_match_the_old_cli_subsample(self, capsys, tmp_path, cap):
+        # caps below, at and above the sizes of both corpora (8 and 6 lines)
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("a b\nc\n" * 4)
+        b.write_text("d\na c\n" * 3)
+        for seed in range(20):
+            _, out, _ = run_cli(capsys, "nested", str(a), str(b), "--k", str(cap), "--k-prime", str(cap),
+                                "--embeddings", ORTHO, "--seed", str(seed))
+            payload = json.loads(out)
+            assert payload["subsample_a"] == old_cli_subsample(list(range(8)), cap, seed, 0)[1]
+            assert payload["subsample_b"] == old_cli_subsample(list(range(6)), cap, seed, 1)[1]
+
+
+@pytest.mark.parametrize("command", ["score", "nested", "metrics", "compare", "train"])
+def test_manifest_digests_are_the_sha256_of_each_input(capsys, tmp_path, command):
+    hyp = tmp_path / "h.txt"
+    ref = tmp_path / "r.txt"
+    other = tmp_path / "o.txt"
+    config = tmp_path / "run.cfg"
+    hyp.write_text("a b\nc d\n")
+    ref.write_text("a c\n")
+    other.write_bytes(b"d b\r\n\r\nb a\n")
+    config.write_text(TestTrain.CONFIG)
+    inputs = {
+        "score": [hyp, other, "--corpus", "--embeddings", ORTHO],
+        "nested": [hyp, other, "--embeddings", ORTHO],
+        "metrics": [hyp, ref],
+        "compare": [ref, hyp, other, "--embeddings", ORTHO],
+        "train": [config, "--out", tmp_path / "out"],
+    }[command]
+    code, out, _ = run_cli(capsys, command, *map(str, inputs))
+    assert code == 0
+    files = [Path(arg) for arg in inputs if Path(arg).is_file()]
+    assert json.loads(out)["manifest"]["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in files
+    }
 
 
 @pytest.mark.parametrize("command", ["score", "compare", "nested"])

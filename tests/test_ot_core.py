@@ -194,6 +194,30 @@ class TestAssignment:
         assert (u[:, None] + v[None, :] <= cost + 1e-12).all()
         assert abs(cost[np.arange(n), cols].sum() - (u.sum() + v.sum())) <= 1e-12
 
+    @pytest.mark.parametrize("solve", [assignment_solve, exact_ot_oracle])
+    def test_costs_whose_spread_overflows_are_rejected(self, solve):
+        # finite costs, but max - min overflows: this returned u = [inf, inf], v = [-inf, nan]
+        with pytest.raises(ValueError, match="too large to solve in floats at n = 2"):
+            solve([[-1e308, 1e308], [-1e308, 1e308]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(-127, 127), st.integers(-127, 127), st.integers(1000, 1017),
+           st.integers(0, 2**32 - 1))
+    def test_huge_costs_are_rejected_or_certified(self, n, a, b, exponent, seed):
+        # integers between a and b times a power of two: finite costs (below
+        # 2**1024 in size) on which every sum the solver and the certificate
+        # below form is exact unless it overflows
+        ints = np.random.default_rng(seed).integers(min(a, b), max(a, b) + 1, (n, n))
+        cost = ints * 2.0 ** exponent
+        try:
+            cols, u, v = assignment_solve(cost)
+        except ValueError as exc:
+            assert "too large to solve in floats" in str(exc)
+            return
+        assert sorted(cols.tolist()) == list(range(n))
+        assert (u[:, None] + v[None, :] <= cost + 1e-12).all()
+        assert abs(cost[np.arange(n), cols].sum() - (u.sum() + v.sum())) <= 1e-12
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 30), st.sampled_from(["continuous", "tied", "zero_one", "negative"]),
            st.integers(0, 2**32 - 1))

@@ -77,6 +77,13 @@ class TestReplayBuffer:
         assert [e.tokens for e in first] == [e.tokens for e in second]
         assert len({e.tokens for e in first}) == 3
 
+    def test_sample_draws_the_same_from_a_seed_and_its_generator(self):
+        buffer = ReplayBuffer(capacity=8)
+        for i in range(8):
+            buffer.add(entry([i], float(i)))
+        for seed in range(20):
+            assert buffer.sample(3, seed) == buffer.sample(3, np.random.default_rng(seed))
+
     def test_sample_smaller_pool(self):
         buffer = ReplayBuffer(capacity=8)
         buffer.add(entry([1], 1.0))

@@ -258,6 +258,14 @@ class TestSampling:
         assert [t.tokens for t in first] == [t.tokens for t in second]
         assert [t.reward for t in first] == [t.reward for t in second]
 
+    @pytest.mark.parametrize("conditional", [False, True], ids=["markov", "conditional"])
+    def test_a_seed_draws_as_its_generator_does(self, conditional):
+        env = ToyEnv.overlap(4, 3, seed=2, conditions=3) if conditional else ToyEnv.markov(4, 3, seed=2)
+        policy = random_policy(PolicyKind.TABULAR, 4, 3)
+        for seed in range(20):
+            assert sample_trajectories(policy, env, 5, seed) == sample_trajectories(
+                policy, env, 5, np.random.default_rng(seed))
+
     def test_count_validated(self, small_env):
         with pytest.raises(ValueError):
             sample_trajectories(Policy.tabular(3, 2), small_env, 0, 1)
