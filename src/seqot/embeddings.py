@@ -108,9 +108,10 @@ class EmbeddingTable:
     Invariants enforced at load time: every vector has length ``dim``, no
     vector is all-zeros, and :data:`PAD_TOKEN` is absent. The vectors never
     change, so neither does a pair's exact transport score:
-    ``pair_scores`` maps each pair to its ``complex(distance, reward)``,
-    filled by :func:`seqot.nested.score_matrices` and kept for as long as
-    the instance lives (one CLI command, or one training environment).
+    ``pair_scores`` maps each pair of token bags to its
+    ``complex(distance, reward)``, filled by
+    :func:`seqot.nested.score_matrices` and kept for as long as the
+    instance lives (one CLI command, or one training environment).
     ``unit_rows`` maps each token :meth:`unit_row` has been asked for to its
     vector scaled to unit length, so a table holds one extra row per token
     it has costed, not per token it stores. Threads may share an instance: two that miss on

@@ -5,16 +5,20 @@ the ground cost is itself a sequence distance.
 against a reference set: it fills the K x K' matrices of pairwise sequence
 distances and rewards, solving each (hypothesis, reference) pair at most
 once per table through the table's ``pair_scores`` memo. Each pair's
-solve is exact (:mod:`seqot.seq_match`), so it takes no solver config. A
-pair solved by an earlier call, or by an environment's reward on the same
-table, is not solved again. :func:`best_matches` finds each hypothesis's
-best reference through the same memo, but solves only the pairs whose
-reward bound can still win; its output is the same as solving every pair
-and taking the argmax. Two sets of sequences are matched by an outer
-transport problem over the distance matrix, solved by :func:`ipot_solve`
-under the caller's config. The outer plan also defines a per-hypothesis
-reward: each hypothesis inherits the plan-weighted sum of its pairwise
-rewards, so the raw values scale with the 1/K row mass.
+solve is exact (:mod:`seqot.seq_match`), so it takes no solver config, and
+its score ignores token order, so the memo is keyed by token bags: each
+sequence's interned tokens in sorted order
+(:func:`seqot.seq_match.token_bag`), the order every miss is built in. A
+pair solved by an earlier call, in any token order, or by an environment's
+reward on the same table, is not solved again.
+:func:`best_matches` finds each hypothesis's best reference through the
+same memo, but solves only the pairs whose reward bound can still win; its
+output is the same as solving every pair and taking the argmax. Two sets
+of sequences are matched by an outer transport problem over the distance
+matrix, solved by :func:`ipot_solve` under the caller's config. The outer
+plan also defines a per-hypothesis reward: each hypothesis inherits the
+plan-weighted sum of its pairwise rewards, so the raw values scale with the
+1/K row mass.
 """
 
 from __future__ import annotations
@@ -69,10 +73,10 @@ def score_matrices(
     """``(distances, rewards)``, each ``len(hyps) x len(refs)``: the sequence
     distance and reward of every (hypothesis, reference) pair.
 
-    Each pair is solved at most once per table: on a miss
-    ``score_pair`` runs and its two floats are kept in
-    ``table.pair_scores``, keyed by the pair ``(hyp_tokens, ref_tokens)``
-    of token tuples. A failed pair raises :class:`NestedSolveError`
+    Each pair of token bags is solved at most once per table: on a miss
+    ``score_pair`` runs on the key's tokens and its two floats are kept in
+    ``table.pair_scores``, keyed by the pair ``(hyp_bag, ref_bag)`` of
+    sorted token tuples. A failed pair raises :class:`NestedSolveError`
     ``(i, j)`` chained from the cause.
     """
     memo = table.pair_scores
@@ -81,7 +85,11 @@ def score_matrices(
     rewards = np.empty((len(hyps), len(refs)))
     for i, hyp in enumerate(hyps):
         for j, ref in enumerate(refs):
-            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), i, j, score_pair, table, hyp, ref)
+            key = (hyp_keys[i], ref_keys[j])
+            try:
+                hit = _lookup(memo, key, score_pair, table, *key)
+            except Exception as exc:
+                raise NestedSolveError(i, j) from seq_match.first_fault(table, hyp, ref, exc)
             distances[i, j], rewards[i, j] = hit.real, hit.imag
     return distances, rewards
 
@@ -113,10 +121,10 @@ def best_matches(
         costs = []
         for j, ref in enumerate(refs):
             try:
-                # seq_match's binding, the one score_pair builds through
-                costs.append(seq_match.build_cost_matrix(table, hyp, ref))
+                # through seq_match's binding and in the keys' token order, as score_pair builds
+                costs.append(seq_match.build_cost_matrix(table, hyp_keys[i], ref_keys[j]))
             except Exception as exc:
-                raise NestedSolveError(i, j) from exc
+                raise NestedSolveError(i, j) from seq_match.first_fault(table, hyp, ref, exc)
         bounds = np.array([reward_bound(cm) for cm in costs])
         top = (-1, math.nan, -math.inf)
         for j in np.argsort(-bounds, kind="stable").tolist():
@@ -126,7 +134,7 @@ def best_matches(
             # and in [0, 2], on which the exact solve cannot raise.
             if bounds[j] < top[2]:
                 break
-            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), i, j, score_costs, costs[j])
+            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), score_costs, costs[j])
             if hit.imag > top[2] or (hit.imag == top[2] and j < top[0]):
                 top = (j, hit.real, hit.imag)
         best.append(top)
@@ -136,20 +144,18 @@ def best_matches(
 def _keys(seqs: Sequence[Sequence[str]]) -> list[tuple]:
     # Memory per entry matters (a training run stores thousands): the tokens
     # are interned so keys share one string per token rather than holding
-    # each caller's fresh copies, and a call's entries share one tuple per sequence.
-    return [tuple(map(sys.intern, seq)) for seq in seqs]
+    # each caller's fresh copies, and a call's entries share one tuple per
+    # sequence.
+    return [seq_match.token_bag(map(sys.intern, seq)) for seq in seqs]
 
 
-def _lookup(memo: dict, key: tuple, i: int, j: int, solve, *args) -> complex:
+def _lookup(memo: dict, key: tuple, solve, *args) -> complex:
     """The memo entry for ``key``, filled on a miss from ``solve(*args)``.
     One complex holds both floats exactly, in a third of the space of a
     2-tuple."""
     hit = memo.get(key)
     if hit is None:
-        try:
-            scored = solve(*args)
-        except Exception as exc:
-            raise NestedSolveError(i, j) from exc
+        scored = solve(*args)
         hit = memo[key] = complex(scored.distance, scored.reward)
     return hit
 

@@ -121,7 +121,11 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
 
     # Shifting negative costs up to 0 scales the kernel by a constant,
     # which the Sinkhorn scalings absorb, and keeps exp() from overflowing.
-    kernel = np.exp((c.min(initial=0.0) - c) / config.gamma)
+    # The exponent still overflows to -inf where (c - min) / gamma passes
+    # the largest float. exp(-inf) = 0 is the entry a finite exponent that
+    # large would underflow to anyway, so the plan and its cost stay right.
+    with np.errstate(over="ignore"):
+        kernel = np.exp((c.min(initial=0.0) - c) / config.gamma)
     plan = np.ones((n, m))
     new_plan = np.empty((n, m))
     q = np.empty((n, m))
@@ -211,8 +215,14 @@ def assignment_solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     n = len(c)
     if not math.isfinite(8 * n * size):
         raise ValueError(f"assignment costs up to {size!r} in size are too large to solve in floats at n = {n}")
+    return tuple(map(np.array, assign_rows(c.tolist())))
 
-    c = c.tolist()
+
+def assign_rows(c: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
+    """:func:`assignment_solve` on a square list of rows of floats, as lists,
+    with none of its checks: the caller vouches that the costs are finite
+    and that ``8 * n * M`` is too."""
+    n = len(c)
     u = [min(row) for row in c]
     v = [0.0] * n
     col_of = [-1] * n
@@ -262,7 +272,7 @@ def assignment_solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             col_of[i], j = j, col_of[i]
             if i == start:
                 break
-    return np.array(col_of), np.array(u), np.array(v)
+    return col_of, u, v
 
 
 def exact_ot_oracle(cost: np.ndarray) -> tuple[float, TransportPlan]:

@@ -9,18 +9,30 @@ marginals, so the optimal plan is an assignment scaled by 1/L (Birkhoff),
 solved exactly by :func:`seqot.ot_core.assignment_solve`: the distance is
 the mean of the assigned costs, the reward the mean of one minus them, and
 reward + distance = 1 up to rounding.
+
+The distance ignores token order: a sequence is the bag of its tokens, as
+in the Word Mover's Distance (Kusner et al. 2015), and permuting either
+side permutes the cost matrix's rows or columns, which leaves the optimum
+as it is. :func:`score_pair` builds the matrix from each side's
+:func:`token_bag`, its tokens in sorted order, so its floats are a function
+of the two bags, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import CostMatrix, EmbeddingTable, build_cost_matrix
-from .ot_core import assignment_solve, ipot_solve  # noqa: F401  (perfbench's tracer patches ipot_solve here)
+from .embeddings import CostMatrix, EmbeddingError, EmbeddingTable, build_cost_matrix
+from .ot_core import assign_rows, ipot_solve  # noqa: F401  (perfbench's tracer patches ipot_solve here)
+
+
+#: What :func:`build_cost_matrix` raises on a bad token or an empty side.
+_BUILD_ERRORS = (EmbeddingError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -32,16 +44,48 @@ class PairScore:
 
 
 def score_pair(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) -> PairScore:
-    """Solve the pair once and derive both distance and reward from the plan."""
-    return score_costs(build_cost_matrix(table, hyp, ref))
+    """Solve the pair once and derive both distance and reward from the plan.
+
+    The cost matrix is built from each side's :func:`token_bag`, so a pair
+    gets the same bits for every order of its tokens.
+    """
+    try:
+        costs = build_cost_matrix(table, token_bag(hyp), token_bag(ref))
+    except _BUILD_ERRORS as exc:
+        raise first_fault(table, hyp, ref, exc) from None
+    return score_costs(costs)
+
+
+def first_fault(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str], fault: Exception) -> Exception:
+    """The error building the pair in the given token order raises, else
+    ``fault``. A bag's sorted order may meet another bad token of a line
+    first; this is the error that names the line's first."""
+    try:
+        build_cost_matrix(table, hyp, ref)
+    except _BUILD_ERRORS as exc:
+        return exc
+    return fault
+
+
+def token_bag(seq: Iterable[str]) -> tuple[str, ...]:
+    """A sequence's tokens in the one order its cost matrices are built in:
+    sorted, so every order of the same tokens gives the same matrix."""
+    return tuple(sorted(seq))
 
 
 def score_costs(costs: CostMatrix) -> PairScore:
-    """:func:`score_pair` from the pair's already built cost matrix."""
-    values = costs.values
-    size = values.shape[0]
-    picked = values[np.arange(size), assignment_solve(values)[0]]
-    return PairScore(distance=float(picked.sum() / size), reward=float((1.0 - picked).sum() / size))
+    """:func:`score_pair` from the pair's already built cost matrix.
+
+    The matrix goes to the assignment core as lists, without
+    :func:`seqot.ot_core.assignment_solve`'s checks: the costs are clipped
+    into [0, 2] from finite unit rows, so they are finite and ``8 * L * 2``
+    is too. Each sum is exactly rounded (``math.fsum``), so it does not
+    depend on the order of the assigned costs either.
+    """
+    rows = costs.values.tolist()
+    picked = [row[j] for row, j in zip(rows, assign_rows(rows)[0])]
+    size = len(rows)
+    return PairScore(distance=math.fsum(picked) / size, reward=math.fsum([1.0 - x for x in picked]) / size)
 
 
 def reward_bound(costs: CostMatrix) -> float:

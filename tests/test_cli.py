@@ -120,6 +120,13 @@ class TestScore:
         assert code == 2
         assert "zebra" in err
 
+    def test_unknown_token_is_the_first_in_the_line(self, capsys, tmp_path):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("a zebra aardvark\n")
+        code, _, err = run_cli(capsys, "score", str(hyp), str(hyp), "--embeddings", ORTHO)
+        assert code == 2
+        assert err == "error: unknown token 'zebra' (strict OOV policy)\n"
+
     def test_corpus_mode_solves_each_distinct_pair_once(self, capsys, tmp_path, count_solves):
         solves = count_solves("seqot.nested")
         hyp = tmp_path / "h.txt"
@@ -138,7 +145,10 @@ class TestScore:
     @pytest.mark.parametrize("hyp_text, ref_text, pair", [
         ("a b\nc zebra\n", "a\nb\nc\n", "(1, 0)"),
         ("a b\nc d\n", "a\nb\nc zebra\n", "(0, 2)"),
-    ], ids=["hypothesis", "reference"])
+        # the matrix is built from sorted tokens, where 'aardvark' comes first
+        ("a b\nc zebra aardvark\n", "a\nb\nc\n", "(1, 0)"),
+        ("a b\nc d\n", "a\nb\nc zebra aardvark\n", "(0, 2)"),
+    ], ids=["hypothesis", "reference", "hypothesis-unsorted", "reference-unsorted"])
     def test_corpus_mode_unknown_token_names_its_pair(self, capsys, tmp_path, hyp_text, ref_text, pair):
         hyp = tmp_path / "h.txt"
         ref = tmp_path / "r.txt"

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seqot import (
@@ -20,6 +20,11 @@ from seqot.seq_match import reward_bound
 from seqot.sil_rl import basis_embedding_table
 
 from conftest import FIXTURES
+
+
+def bag(seq) -> tuple:
+    """A sequence's memo key: its tokens in sorted order."""
+    return tuple(sorted(seq))
 
 
 def random_sets(table, seed, k, k_prime, max_len=5):
@@ -136,7 +141,7 @@ class TestScoreMatrices:
         refs = [["youthful", "child", "cycles"], ["single", "bicycle"], ["main", "road", "down"], ["cow"]]
         distances, rewards = score_matrices(table, hyps, refs)
         assert distances.shape == rewards.shape == (4, 4)
-        distinct = [(tuple(hyp), tuple(ref)) for hyp in hyps[:3] for ref in refs]
+        distinct = [(bag(hyp), bag(ref)) for hyp in hyps[:3] for ref in refs]
         assert count_inner_solves == distinct
         for i, hyp in enumerate(hyps):
             for j, ref in enumerate(refs):
@@ -162,7 +167,7 @@ class TestPairScoreMemo:
         del count_inner_solves[:]
 
         warm = nested_wasserstein(table, overlapping, set_b)
-        assert count_inner_solves == [(tuple(new_hyp), tuple(ref)) for ref in set_b]
+        assert count_inner_solves == [(bag(new_hyp), bag(ref)) for ref in set_b]
         cold = nested_wasserstein(self.fresh_table(fixtures_dir), overlapping, set_b)
         assert np.array_equal(warm.seq_cost_matrix, cold.seq_cost_matrix)
         assert np.array_equal(warm.seq_reward_matrix, cold.seq_reward_matrix)
@@ -314,10 +319,11 @@ class TestBestMatches:
         assert as_bits(matches) == argmax_matches(ortho_table, [["a"]], refs)
 
     def test_nothing_pruned_when_every_bound_reaches_the_best(self, ortho_table, count_inner_solves):
-        # every reference is a permutation of the hypothesis: every bound is
-        # 1 + margin, and no reward can exceed it
+        # every reference token is in the hypothesis: every bound is
+        # 1 + margin, which the best reward, 1.0, does not reach. The bags
+        # differ, since permutations of one bag share one memo entry.
         hyps = [["a", "b", "c", "d"]]
-        refs = [["b", "a", "d", "c"], ["d", "c", "b", "a"], ["a", "b", "c", "d"], ["c", "d", "a", "b"]]
+        refs = [["b", "a", "d", "c"], ["a", "a", "b", "c"], ["d", "d", "c", "b"], ["c", "c", "a", "b"]]
         matches = best_matches(ortho_table, hyps, refs)
         assert len(count_inner_solves) == len(refs)
         assert as_bits(matches) == argmax_matches(ortho_table, hyps, refs)
@@ -328,7 +334,7 @@ class TestBestMatches:
         refs = ["youthful child cycles single bicycle".split(), ["cow", "road"], ["main", "road", "down"]]
         first = best_matches(table, [hyp], refs)
         solved = list(count_inner_solves)
-        assert solved == [(tuple(hyp), tuple(refs[0]))]
+        assert solved == [(bag(hyp), bag(refs[0]))]
         again = best_matches(table, [hyp, list(hyp), hyp], refs)
         assert count_inner_solves == solved
         assert as_bits(again) == as_bits(first) * 3
@@ -344,10 +350,68 @@ class TestBestMatches:
     @pytest.mark.parametrize("hyps, refs, pair", [
         ([["a"], ["c", "zebra"]], [["a"], ["b"], ["c"]], (1, 0)),
         ([["a"], ["b"]], [["a"], ["b"], ["c", "zebra"]], (0, 2)),
-    ], ids=["hypothesis", "reference"])
+        # sorted, 'aardvark' comes first; the line's first bad token is named
+        ([["a"], ["c", "zebra", "aardvark"]], [["a"], ["b"], ["c"]], (1, 0)),
+        ([["a"], ["b"]], [["a"], ["b"], ["c", "zebra", "aardvark"]], (0, 2)),
+    ], ids=["hypothesis", "reference", "hypothesis-unsorted", "reference-unsorted"])
     def test_unknown_token_fails_at_the_full_grid_pair(self, ortho_table, hyps, refs, pair):
         for score in (score_matrices, best_matches):
             with pytest.raises(NestedSolveError) as err:
                 score(ortho_table, hyps, refs)
             assert (err.value.i, err.value.j) == pair
-            assert "zebra" in str(err.value.__cause__)
+            assert str(err.value.__cause__) == "unknown token 'zebra' (strict OOV policy)"
+
+
+BAG_TABLES = {
+    "toy": lambda: load_embeddings(FIXTURES / "toy_embeddings.txt"),
+    "basis": lambda: basis_embedding_table(6),
+}
+
+
+def shuffled(seqs, rng):
+    return [[seq[t] for t in rng.permutation(len(seq))] for seq in seqs]
+
+
+def pair_bits(table, hyp, ref):
+    scored = score_pair(table, hyp, ref)
+    return scored.distance.hex(), scored.reward.hex()
+
+
+def grid_bits(table, hyps, refs):
+    distances, rewards = score_matrices(table, hyps, refs)
+    return [x.hex() for x in distances.ravel()], [x.hex() for x in rewards.ravel()]
+
+
+class TestTokenBags:
+    """A pair's score is a function of its two token bags, bit for bit,
+    whatever order its tokens come in and whichever order was scored first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(BAG_TABLES)), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_permuting_either_side_keeps_every_bit(self, kind, k, k_prime, seed):
+        make = BAG_TABLES[kind]
+        hyps, refs = random_sets(make(), seed, k, k_prime, max_len=8)
+        rng = np.random.default_rng(seed)
+        for other_hyps, other_refs in [(shuffled(hyps, rng), refs), (hyps, shuffled(refs, rng))]:
+            for hyp, ref, other_hyp, other_ref in zip(hyps, refs, other_hyps, other_refs):
+                table = make()
+                assert pair_bits(table, other_hyp, other_ref) == pair_bits(table, hyp, ref)
+            assert grid_bits(make(), other_hyps, other_refs) == grid_bits(make(), hyps, refs)
+            assert as_bits(best_matches(make(), other_hyps, other_refs)) == as_bits(best_matches(make(), hyps, refs))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(BAG_TABLES)), st.integers(0, 2**32 - 1))
+    def test_a_permutation_scored_first_changes_no_bit(self, count_inner_solves, kind, seed):
+        make = BAG_TABLES[kind]
+        hyps, refs = random_sets(make(), seed, 1, 1, max_len=8)
+        rng = np.random.default_rng(seed)
+        other_hyps, other_refs = shuffled(hyps, rng), shuffled(refs, rng)
+        fresh_grid, fresh_best = grid_bits(make(), hyps, refs), as_bits(best_matches(make(), hyps, refs))
+        for score in (grid_bits, lambda *args: as_bits(best_matches(*args))):
+            table = make()
+            del count_inner_solves[:]
+            score(table, other_hyps, other_refs)
+            assert count_inner_solves == [(bag(hyps[0]), bag(refs[0]))]
+            assert grid_bits(table, hyps, refs) == fresh_grid
+            assert as_bits(best_matches(table, hyps, refs)) == fresh_best
+            assert len(count_inner_solves) == 1

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from seqot.ot_core import (
     IpotConfig,
     NonFiniteCostError,
     TransportPlan,
+    assign_rows,
     assignment_solve,
     exact_ot_oracle,
     ipot_solve,
@@ -48,6 +50,15 @@ class TestIpotExamples:
         rows, cols = optimize.linear_sum_assignment(cost)
         assert plan.converged
         assert plan.cost == pytest.approx(cost[rows, cols].mean(), abs=1e-6)
+
+    def test_overflowing_kernel_exponent_raises_no_warning(self):
+        # (0 - 1e308) / gamma overflows to -inf, whose kernel entry
+        # exp(-inf) = 0 is the one a finite exponent that large gives
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = ipot_solve([[0.0, 1e308], [1e308, 0.0]])
+        assert plan.converged and plan.cost == 0.0
+        assert np.array_equal(plan.values, np.diag([0.5, 0.5]))
 
     def test_rectangular_marginals(self):
         rng = np.random.default_rng(0)
@@ -280,6 +291,12 @@ class TestAssignmentApi:
             assert cols.dtype.kind == "i" and u.dtype == v.dtype == np.float64
             assert cols.shape == u.shape == v.shape == (6,)
             assert_same_as_numpy_form(cost)
+
+    def test_list_core_gives_the_same_bits_as_lists(self):
+        cost = padded_costs(np.random.default_rng(5), 9)
+        got = assign_rows(cost.tolist())
+        assert all(type(part) is list for part in got)
+        assert [np.array(part).tobytes() for part in got] == [part.tobytes() for part in assignment_solve(cost)]
 
 
 class TestMarginalViolation:
