@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .configfile import ConfigError, build_training_setup, construct, parse_config_text
+from .configfile import ConfigError, build_training_setup, parse_config_text
 from .embeddings import EmbeddingError, OovPolicy, load_embeddings, read_input
-from .nested import NestedSolveError, best_matches, nested_wasserstein, score_matrices
-from .ot_core import IpotConfig
+from .nested import NestedSolveError, OuterNotConvergedError, best_matches, nested_wasserstein, score_matrices
+from .ot_core import DEFAULT_IPOT
 from .seq_match import score_pair
 from .sil_rl.train import DivergedError, file_log_record, train
 from .text_metrics import (
@@ -42,7 +42,7 @@ class UsageError(ValueError):
 
 
 _INPUT_ERRORS = (UsageError, ConfigError, DivergedError, EmbeddingError, EmptyCorpusError, TooFewSentencesError,
-                 OSError)
+                 OuterNotConvergedError, OSError)
 
 
 class Corpus(list):
@@ -137,18 +137,16 @@ def cmd_score(args) -> int:
 
 
 def cmd_nested(args) -> int:
-    for flag, value in (("--k", args.k), ("--k-prime", args.k_prime)):
+    for flag, value in (("--k", args.k), ("--k-prime", args.k_prime), ("--outer-iters", args.outer_iters)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     table = _load_table(args)
-    config = construct(IpotConfig, {"gamma": args.gamma, "outer_iters": args.outer_iters},
-                       lambda name: "--" + name.replace("_", "-"), UsageError)
     corpus_a = read_corpus(args.corpus_a, args.lowercase)
     corpus_b = read_corpus(args.corpus_b, args.lowercase)
     set_a, idx_a = subsample(corpus_a, args.k, np.random.default_rng([args.seed, 0]))
     set_b, idx_b = subsample(corpus_b, args.k_prime, np.random.default_rng([args.seed, 1]))
 
-    result = nested_wasserstein(table, set_a, set_b, config)
+    result = nested_wasserstein(table, set_a, set_b, args.outer_iters)
     rows, cols = result.seq_cost_matrix.shape
     body = {
         "w_nc": result.distance,
@@ -165,8 +163,7 @@ def cmd_nested(args) -> int:
     }
     lines = [f"w_nc,{result.distance!r}"]
     lines += [f"r_ns[{i}],{r!r}" for i, r in enumerate(result.per_hyp_reward)]
-    _emit(args, _resolved_common(args, {"k": args.k, "k_prime": args.k_prime, "gamma": args.gamma,
-                                        "outer_iters": args.outer_iters}),
+    _emit(args, _resolved_common(args, {"k": args.k, "k_prime": args.k_prime, "outer_iters": args.outer_iters}),
           [args.embeddings, args.corpus_a, args.corpus_b], body, "\n".join(lines) + "\n")
     return 0
 
@@ -282,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_b")
     p.add_argument("--k", type=int, default=5, help="hypothesis set size (fixed-seed subsample if larger)")
     p.add_argument("--k-prime", type=int, default=5, help="reference set size")
-    p.add_argument("--gamma", type=float, default=IpotConfig.gamma, help="outer solve's proximal weight")
-    p.add_argument("--outer-iters", type=int, default=IpotConfig.outer_iters, help="outer solve's step cap")
+    p.add_argument("--outer-iters", type=int, default=DEFAULT_IPOT.outer_iters, help="outer solve's step cap")
     add_common(p)
     p.set_defaults(func=cmd_nested)
 

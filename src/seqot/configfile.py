@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .ot_core import IpotConfig
 from .sil_rl.buffer import BufferCriterion
 from .sil_rl.config import BaselineMode, Schedule, SilConfig, SilVariant
 from .sil_rl.envs import RewardKind, ToyEnv
@@ -46,8 +45,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 # key -> (type, "target.argument" it fills). The "setup" arguments belong to
-# the file format; "ot" is IpotConfig, "env" the ToyEnv constructor, "policy"
-# Policy.uniform, "sil" SilConfig and "schedule" its Schedule.
+# the file format; "env" is the ToyEnv constructor, "policy" Policy.uniform,
+# "sil" SilConfig and "schedule" its Schedule.
 _KEYS = {
     "steps": (int, "setup.steps"),
     "seed": (int, "sil.seed"),
@@ -76,8 +75,7 @@ _KEYS = {
     "pretrain": (bool, "sil.pretrain"),
     "pretrain_smoothing": (float, "sil.pretrain_smoothing"),
     "bleu_order": (int, "sil.bleu_order"),
-    "gamma": (float, "ot.gamma"),
-    "outer_iters": (int, "ot.outer_iters"),
+    "outer_iters": (int, "sil.outer_iters"),
 }
 _KEY_OF = {dest: key for key, (_, dest) in _KEYS.items()}
 
@@ -111,18 +109,15 @@ def _show(value) -> str:
     return value.value if isinstance(value, Enum) else str(value).lower()
 
 
-def construct(constructor, kwargs: dict, rename, error: type[ValueError] = ConfigError):
-    """``constructor(**kwargs)``. Constructors name the argument at fault
-    first in their ValueErrors; ``error`` reports ``rename(argument)`` instead."""
+def _make(target: str, constructor, args: dict, **fixed):
+    """``constructor(**fixed, **args[target])``. Constructors name the
+    argument at fault first in their ValueErrors; the ConfigError names its
+    key instead."""
     try:
-        return constructor(**kwargs)
+        return constructor(**fixed, **args[target])
     except ValueError as exc:
         name = str(exc).split(" ", 1)[0]
-        raise error(str(exc).replace(name, rename(name), 1)) from exc
-
-
-def _make(target: str, constructor, args: dict, **fixed):
-    return construct(constructor, {**fixed, **args[target]}, lambda name: _KEY_OF.get(f"{target}.{name}", name))
+        raise ConfigError(str(exc).replace(name, _KEY_OF.get(f"{target}.{name}", name), 1)) from exc
 
 
 @dataclass(frozen=True)
@@ -153,7 +148,7 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
     resolved = dict(sorted(values.items()))
     resolved.setdefault("env", RewardKind.MARKOV)
     resolved.setdefault("seed", 0)
-    args: dict[str, dict] = {target: {} for target in ("setup", "ot", "env", "policy", "sil", "schedule")}
+    args: dict[str, dict] = {target: {} for target in ("setup", "env", "policy", "sil", "schedule")}
     for key, value in resolved.items():
         target, _, name = _KEYS[key][1].partition(".")
         args[target][name] = value
@@ -163,8 +158,7 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
     if env_kind is RewardKind.CONDITIONAL and args["env"].setdefault("conditions", 4) < 1:
         raise ConfigError(f"key 'conditions': env = conditional needs at least 1, got {args['env']['conditions']}")
 
-    ot = _make("ot", IpotConfig, args)
-    sil = _make("sil", SilConfig, args, schedule=_make("schedule", Schedule, args), ot=ot)
+    sil = _make("sil", SilConfig, args, schedule=_make("schedule", Schedule, args))
     settings = {"setup": args["setup"], "sil": vars(sil)}
     for key, (setting, needed) in _APPLIES_ONLY.items():
         target, _, name = _KEYS[setting][1].partition(".")

@@ -124,9 +124,6 @@ class EmbeddingTable:
     pair_scores: dict = field(default_factory=dict, init=False, repr=False)
     unit_rows: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -15,10 +15,11 @@ reward on the same table, is not solved again.
 same memo, but solves only the pairs whose reward bound can still win; its
 output is the same as solving every pair and taking the argmax. Two sets
 of sequences are matched by an outer transport problem over the distance
-matrix, solved by :func:`ipot_solve` under the caller's config. The outer
-plan also defines a per-hypothesis reward: each hypothesis inherits the
-plan-weighted sum of its pairwise rewards, so the raw values scale with the
-1/K row mass.
+matrix, solved by :func:`ipot_solve` up to the caller's step cap; a plan
+that has not converged by then raises :class:`OuterNotConvergedError`. The
+outer plan also defines a per-hypothesis reward: each hypothesis inherits
+the plan-weighted sum of its pairwise rewards, so the raw values scale with
+the 1/K row mass.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import seq_match
 from .embeddings import EmbeddingTable
 from .ot_core import DEFAULT_IPOT, IpotConfig, TransportPlan, ipot_solve
-from .seq_match import reward_bound, score_costs, score_pair
+from .seq_match import bag_costs, reward_bound, score_costs, score_pair, token_bag
 
 
 class EmptySetError(ValueError):
@@ -48,6 +48,12 @@ class NestedSolveError(Exception):
         super().__init__(f"inner solve failed for pair ({i}, {j})")
         self.i = i
         self.j = j
+
+
+class OuterNotConvergedError(ValueError):
+    def __init__(self, outer_iters: int):
+        super().__init__(f"outer solve did not converge within its step cap of {outer_iters}; "
+                         "raise --outer-iters / outer_iters")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +80,8 @@ def score_matrices(
     distance and reward of every (hypothesis, reference) pair.
 
     Each pair of token bags is solved at most once per table: on a miss
-    ``score_pair`` runs on the key's tokens and its two floats are kept in
-    ``table.pair_scores``, keyed by the pair ``(hyp_bag, ref_bag)`` of
+    ``score_pair`` runs on the caller's tokens and its two floats are kept
+    in ``table.pair_scores``, keyed by the pair ``(hyp_bag, ref_bag)`` of
     sorted token tuples. A failed pair raises :class:`NestedSolveError`
     ``(i, j)`` chained from the cause.
     """
@@ -85,11 +91,10 @@ def score_matrices(
     rewards = np.empty((len(hyps), len(refs)))
     for i, hyp in enumerate(hyps):
         for j, ref in enumerate(refs):
-            key = (hyp_keys[i], ref_keys[j])
             try:
-                hit = _lookup(memo, key, score_pair, table, *key)
+                hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), score_pair, table, hyp, ref)
             except Exception as exc:
-                raise NestedSolveError(i, j) from seq_match.first_fault(table, hyp, ref, exc)
+                raise NestedSolveError(i, j) from exc
             distances[i, j], rewards[i, j] = hit.real, hit.imag
     return distances, rewards
 
@@ -121,10 +126,9 @@ def best_matches(
         costs = []
         for j, ref in enumerate(refs):
             try:
-                # through seq_match's binding and in the keys' token order, as score_pair builds
-                costs.append(seq_match.build_cost_matrix(table, hyp_keys[i], ref_keys[j]))
+                costs.append(bag_costs(table, hyp, ref))
             except Exception as exc:
-                raise NestedSolveError(i, j) from seq_match.first_fault(table, hyp, ref, exc)
+                raise NestedSolveError(i, j) from exc
         bounds = np.array([reward_bound(cm) for cm in costs])
         top = (-1, math.nan, -math.inf)
         for j in np.argsort(-bounds, kind="stable").tolist():
@@ -146,7 +150,7 @@ def _keys(seqs: Sequence[Sequence[str]]) -> list[tuple]:
     # are interned so keys share one string per token rather than holding
     # each caller's fresh copies, and a call's entries share one tuple per
     # sequence.
-    return [seq_match.token_bag(map(sys.intern, seq)) for seq in seqs]
+    return [token_bag(map(sys.intern, seq)) for seq in seqs]
 
 
 def _lookup(memo: dict, key: tuple, solve, *args) -> complex:
@@ -164,14 +168,20 @@ def nested_wasserstein(
     table: EmbeddingTable,
     set_a: Sequence[Sequence[str]],
     set_b: Sequence[Sequence[str]],
-    config: IpotConfig = DEFAULT_IPOT,
+    outer_iters: int = DEFAULT_IPOT.outer_iters,
 ) -> NestedResult:
     """Solve all K*K' inner pairs, then one outer solve over their distances
-    under ``config``.
+    of at most ``outer_iters`` steps.
+
+    The proximal weight is the default: every weight leads to the same
+    maximum-entropy optimal plan and sets only the step count. A plan still
+    unconverged at the cap raises :class:`OuterNotConvergedError`; large
+    outer problems (``nested --k 40 --k-prime 39`` on paraphrases) can
+    need a few thousand steps.
 
     With K = K' = 1 this degenerates to the plain sequence distance of the
     single pair. Once both sets are checked nonempty the outer costs are
-    finite and at least 1 x 1, so only an inner pair can fail.
+    finite and at least 1 x 1, so only an inner pair or the cap can fail.
     """
     if len(set_a) == 0:
         raise EmptySetError("A")
@@ -182,7 +192,9 @@ def nested_wasserstein(
             raise ValueError(f"set {name} contains an empty sequence")
 
     costs, rewards = score_matrices(table, set_a, set_b)
-    outer = ipot_solve(costs, config)
+    outer = ipot_solve(costs, IpotConfig(outer_iters=outer_iters))
+    if not outer.converged:
+        raise OuterNotConvergedError(outer_iters)
     per_hyp = (outer.values * rewards).sum(axis=1)
     return NestedResult(
         seq_cost_matrix=costs,

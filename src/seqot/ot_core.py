@@ -33,10 +33,12 @@ class IpotConfig:
     """Proximal-solver knobs.
 
     ``gamma`` is the proximal weight (1/gamma is the generalized step
-    size). Smaller values sharpen the kernel, which does not by itself
+    size). Only library callers set it: the program's one solve, the nested
+    outer solve, runs at the default and takes only ``outer_iters``, the
+    step cap. Smaller values sharpen the kernel, which does not by itself
     mean fewer outer steps: on continuous cosine costs, 0.05 took about
     half the steps of the default, but 0.02 took more than 0.05 and left
-    some solves unconverged at the cap. ``outer_iters`` caps the steps.
+    some solves unconverged at the cap.
     """
 
     gamma: float = 0.25

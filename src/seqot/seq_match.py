@@ -13,9 +13,9 @@ reward + distance = 1 up to rounding.
 The distance ignores token order: a sequence is the bag of its tokens, as
 in the Word Mover's Distance (Kusner et al. 2015), and permuting either
 side permutes the cost matrix's rows or columns, which leaves the optimum
-as it is. :func:`score_pair` builds the matrix from each side's
-:func:`token_bag`, its tokens in sorted order, so its floats are a function
-of the two bags, bit for bit.
+as it is. :func:`bag_costs`, the one builder of a pair's cost matrix,
+builds it from each side's :func:`token_bag`, its tokens in sorted order,
+so :func:`score_pair`'s floats are a function of the two bags, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .embeddings import CostMatrix, EmbeddingError, EmbeddingTable, build_cost_m
 from .ot_core import assign_rows, ipot_solve  # noqa: F401  (perfbench's tracer patches ipot_solve here)
 
 
-#: What :func:`build_cost_matrix` raises on a bad token or an empty side.
-_BUILD_ERRORS = (EmbeddingError, ValueError)
-
-
 @dataclass(frozen=True)
 class PairScore:
     """One solve's worth of results for a (hypothesis, reference) pair."""
@@ -46,25 +42,24 @@ class PairScore:
 def score_pair(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) -> PairScore:
     """Solve the pair once and derive both distance and reward from the plan.
 
-    The cost matrix is built from each side's :func:`token_bag`, so a pair
-    gets the same bits for every order of its tokens.
+    The cost matrix comes from :func:`bag_costs`, so a pair gets the same
+    bits for every order of its tokens.
+    """
+    return score_costs(bag_costs(table, hyp, ref))
+
+
+def bag_costs(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) -> CostMatrix:
+    """The pair's cost matrix, built from each side's :func:`token_bag`.
+
+    A bag's sorted order may meet another bad token of a line first, so a
+    failed build is redone in the given order, whose error, naming the
+    line's first bad token, is the one that propagates.
     """
     try:
-        costs = build_cost_matrix(table, token_bag(hyp), token_bag(ref))
-    except _BUILD_ERRORS as exc:
-        raise first_fault(table, hyp, ref, exc) from None
-    return score_costs(costs)
-
-
-def first_fault(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str], fault: Exception) -> Exception:
-    """The error building the pair in the given token order raises, else
-    ``fault``. A bag's sorted order may meet another bad token of a line
-    first; this is the error that names the line's first."""
-    try:
+        return build_cost_matrix(table, token_bag(hyp), token_bag(ref))
+    except EmbeddingError:
         build_cost_matrix(table, hyp, ref)
-    except _BUILD_ERRORS as exc:
-        return exc
-    return fault
+        raise
 
 
 def token_bag(seq: Iterable[str]) -> tuple[str, ...]:

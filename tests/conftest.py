@@ -32,10 +32,10 @@ def fixtures_dir():
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """``count_solves(module_name)`` returns the list of (hyp, ref) pairs that
-    module goes on to solve: through its ``score_pair`` binding, or through
-    its ``score_costs`` binding on a matrix ``seq_match.build_cost_matrix``
-    built."""
+    """``count_solves(module_name)`` returns the list of (hyp, ref) token-bag
+    pairs that module goes on to solve: through its ``score_pair`` binding,
+    or through its ``score_costs`` binding on a matrix
+    ``seq_match.build_cost_matrix`` built."""
 
     def install(module_name: str) -> list:
         module = importlib.import_module(module_name)
@@ -45,7 +45,7 @@ def count_solves(monkeypatch):
         original_build = seq_match.build_cost_matrix
 
         def counting_pair(table, hyp, ref, *args, **kwargs):
-            solved.append((tuple(hyp), tuple(ref)))
+            solved.append((seq_match.token_bag(hyp), seq_match.token_bag(ref)))
             return original_pair(table, hyp, ref, *args, **kwargs)
 
         def recording_build(table, hyp, ref):

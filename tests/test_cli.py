@@ -185,6 +185,19 @@ class TestNested:
         assert payload["w_nc"] <= 2e-3
         load_schema("nested_report.schema.json").validate(payload)
 
+    def test_unconverged_outer_plan_exits_two_writing_nothing(self, capsys, tmp_path):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("a\nb\n")
+        b.write_text("a\nc\n")
+        out = tmp_path / "nested.json"
+        code, _, err = run_cli(capsys, "nested", str(a), str(b), "--outer-iters", "1", "--embeddings", ORTHO,
+                               "--out", str(out))
+        assert code == 2
+        assert err == "error: outer solve did not converge within its step cap of 1; " \
+                      "raise --outer-iters / outer_iters\n"
+        assert not out.exists()
+
     def test_single_pair_matches_score(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -270,8 +283,7 @@ def test_unknown_token_in_a_set_exits_two(capsys, tmp_path, command):
 
 BAD_FLAGS = [
     ("nested", flag, value)
-    for flag, value in (("--gamma", "0"), ("--gamma", "nan"), ("--gamma", "inf"), ("--outer-iters", "0"),
-                        ("--k", "0"), ("--k", "-1"), ("--k-prime", "0"))
+    for flag, value in (("--outer-iters", "0"), ("--k", "0"), ("--k", "-1"), ("--k-prime", "0"))
 ]
 
 
@@ -284,10 +296,13 @@ def test_out_of_range_flag_exits_two(capsys, corpora, command, flag, value):
     assert f", got {value}" in err
 
 
-@pytest.mark.parametrize("command", ["score", "compare"])
-@pytest.mark.parametrize("flag", ["--gamma", "--outer-iters"])
+@pytest.mark.parametrize("flag, command", [
+    *((flag, command) for flag in ("--gamma", "--outer-iters") for command in ("compare", "score")),
+    ("--gamma", "nested"),
+])
 def test_solver_flags_belong_to_nested_only(capsys, corpora, command, flag):
-    # inner solves are exact: only nested runs a solve these flags govern
+    # inner solves are exact: only nested runs a solve these flags govern,
+    # and its outer solve's one setting is the step cap
     hyp, ref = corpora
     with pytest.raises(SystemExit) as exc:
         main([command, hyp, ref, flag, "1", "--embeddings", ORTHO])
@@ -454,9 +469,7 @@ pretrain = false
         assert "learning_rate" in err
 
     @pytest.mark.parametrize("lines, key", [
-        ("gamma = 0", "gamma"),
         ("outer_iters = 0", "outer_iters"),
-        ("gamma = inf", "gamma"),
         ("temperature = 0", "temperature"),
         ("buffer_capacity = 0", "buffer_capacity"),
         ("reference_count = -1", "reference_count"),
@@ -504,10 +517,14 @@ pretrain = false
         "feasibility_tol = 0",
         "feasibility_tol = inf",
         "feasibility_tol = 1e-5",
+        "gamma = 0",
+        "gamma = inf",
+        "gamma = 0.5",
     ])
     def test_removed_solver_keys_are_unknown(self, capsys, tmp_path, line):
         """The solver runs one Sinkhorn sweep per step to a fixed tolerance,
-        so neither setting is a key: a file that sets one fails as unknown."""
+        at the default proximal weight, so none of these settings is a key:
+        a file that sets one fails as unknown."""
         config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{line}\n")
         code, _, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
         key = line.partition(" ")[0]
@@ -515,11 +532,20 @@ pretrain = false
         assert f"unknown key '{key}'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_unconverged_outer_plan_exits_two_writing_nothing(self, capsys, tmp_path):
+        # the schedule fires self-imitation steps, whose outer solve cannot converge in one step
+        config = self.write_config(tmp_path, self.CONFIG + "outer_iters = 1\n")
+        code, out, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "did not converge within its step cap of 1; raise --outer-iters / outer_iters" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_solver_key_error_keeps_the_value(self, capsys, tmp_path):
-        config = self.write_config(tmp_path, "steps = 5\nvocab_size = 3\nhorizon = 2\ngamma = 0\n")
+        config = self.write_config(tmp_path, "steps = 5\nvocab_size = 3\nhorizon = 2\nouter_iters = 0\n")
         code, _, err = run_cli(capsys, "train", str(config))
         assert code == 2
-        assert "gamma must be finite and positive, got 0.0" in err
+        assert "outer_iters must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("lines", [
         "lambda_sil = 1e300\nlearning_rate = 1e10",
@@ -592,8 +618,7 @@ KEY_PROBES = {
     "pretrain": ("false", {}, lambda s: s.sil.pretrain, False),
     "pretrain_smoothing": ("2.0", {}, lambda s: s.sil.pretrain_smoothing, 2.0),
     "bleu_order": ("3", {"buffer_criterion": "f1_bleu"}, lambda s: s.sil.bleu_order, 3),
-    "gamma": ("0.5", {}, lambda s: s.sil.ot.gamma, 0.5),
-    "outer_iters": ("50", {}, lambda s: s.sil.ot.outer_iters, 50),
+    "outer_iters": ("50", {}, lambda s: s.sil.outer_iters, 50),
 }
 
 

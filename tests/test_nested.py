@@ -14,7 +14,7 @@ from seqot import (
     score_pair,
 )
 from seqot.embeddings import EmbeddingTable, build_cost_matrix
-from seqot.nested import EmptySetError, NestedSolveError, best_matches, score_matrices
+from seqot.nested import EmptySetError, NestedSolveError, OuterNotConvergedError, best_matches, score_matrices
 from seqot.ot_core import ipot_solve
 from seqot.seq_match import reward_bound
 from seqot.sil_rl import basis_embedding_table
@@ -119,6 +119,13 @@ class TestInvariants:
             bound = 1.0 / len(set_a) + 1e-6
             assert np.all(np.abs(result.per_hyp_reward) <= bound)
 
+    def test_an_unconverged_outer_plan_raises(self):
+        table = basis_embedding_table(5)
+        set_a, set_b = random_sets(table, 55, 3, 3)
+        with pytest.raises(OuterNotConvergedError, match="step cap of 1; raise --outer-iters / outer_iters"):
+            nested_wasserstein(table, set_a, set_b, outer_iters=1)
+        assert nested_wasserstein(table, set_a, set_b).outer_plan.converged
+
     def test_result_internal_consistency(self):
         table = basis_embedding_table(5)
         set_a, set_b = random_sets(table, 55, 3, 3)
@@ -175,12 +182,11 @@ class TestPairScoreMemo:
         assert warm.distance == cold.distance
 
     def test_configs_share_one_memo(self, fixtures_dir, count_inner_solves):
-        # inner solves are exact, so a second outer config reuses every pair
+        # inner solves are exact, so a second outer step cap reuses every pair
         table = self.fresh_table(fixtures_dir)
         set_a, set_b = random_sets(table, 4, 2, 2)
-        other = IpotConfig(gamma=0.1)
         first = nested_wasserstein(table, set_a, set_b)
-        second = nested_wasserstein(table, set_a, set_b, other)
+        second = nested_wasserstein(table, set_a, set_b, outer_iters=500)
         assert len(count_inner_solves) == 4
         assert np.array_equal(first.seq_cost_matrix, second.seq_cost_matrix)
         assert np.array_equal(first.seq_reward_matrix, second.seq_reward_matrix)
