@@ -24,10 +24,10 @@ from . import __version__
 from .configfile import ConfigError, build_training_setup, parse_config_text
 from .embeddings import EmbeddingError, OovPolicy, load_embeddings, read_input
 from .nested import NestedSolveError, OuterNotConvergedError, best_matches, nested_wasserstein, score_matrices
-from .ot_core import DEFAULT_IPOT
 from .seq_match import score_pair
 from .sil_rl.train import DivergedError, file_log_record, train
 from .text_metrics import (
+    BLEU_ORDERS,
     BleuReport,
     EmptyCorpusError,
     TooFewSentencesError,
@@ -137,7 +137,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_nested(args) -> int:
-    for flag, value in (("--k", args.k), ("--k-prime", args.k_prime), ("--outer-iters", args.outer_iters)):
+    for flag, value in (("--k", args.k), ("--k-prime", args.k_prime)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     table = _load_table(args)
@@ -146,7 +146,7 @@ def cmd_nested(args) -> int:
     set_a, idx_a = subsample(corpus_a, args.k, np.random.default_rng([args.seed, 0]))
     set_b, idx_b = subsample(corpus_b, args.k_prime, np.random.default_rng([args.seed, 1]))
 
-    result = nested_wasserstein(table, set_a, set_b, args.outer_iters)
+    result = nested_wasserstein(table, set_a, set_b)
     rows, cols = result.seq_cost_matrix.shape
     body = {
         "w_nc": result.distance,
@@ -163,7 +163,7 @@ def cmd_nested(args) -> int:
     }
     lines = [f"w_nc,{result.distance!r}"]
     lines += [f"r_ns[{i}],{r!r}" for i, r in enumerate(result.per_hyp_reward)]
-    _emit(args, _resolved_common(args, {"k": args.k, "k_prime": args.k_prime, "outer_iters": args.outer_iters}),
+    _emit(args, _resolved_common(args, {"k": args.k, "k_prime": args.k_prime}),
           [args.embeddings, args.corpus_a, args.corpus_b], body, "\n".join(lines) + "\n")
     return 0
 
@@ -262,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--oov", choices=["strict", "hash"], default="strict")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lowercase", action="store_true")
-        p.add_argument("--json", dest="table", action="store_false", default=False,
-                       help="machine-readable JSON output (default)")
-        p.add_argument("--table", dest="table", action="store_true", help="human-readable CSV output")
+        p.add_argument("--table", action="store_true", help="human-readable CSV output")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("score", help="pairwise or corpus-mode transport distance/reward")
@@ -279,21 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_b")
     p.add_argument("--k", type=int, default=5, help="hypothesis set size (fixed-seed subsample if larger)")
     p.add_argument("--k-prime", type=int, default=5, help="reference set size")
-    p.add_argument("--outer-iters", type=int, default=DEFAULT_IPOT.outer_iters, help="outer solve's step cap")
     add_common(p)
     p.set_defaults(func=cmd_nested)
 
     p = sub.add_parser("metrics", help="test-BLEU / self-BLEU / blended report")
     p.add_argument("hyp_file")
     p.add_argument("ref_file")
-    p.add_argument("--order", type=int, default=2, choices=[2, 3, 4, 5])
+    p.add_argument("--order", type=int, default=2, choices=BLEU_ORDERS)
     add_common(p, embeddings=False)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("compare", help="rank candidate sentences under BLEU / naive / transport reward")
     p.add_argument("ref_file")
     p.add_argument("candidate_files", nargs="+")
-    p.add_argument("--order", type=int, default=2, choices=[2, 3, 4, 5])
+    p.add_argument("--order", type=int, default=2, choices=BLEU_ORDERS)
     add_common(p)
     p.set_defaults(func=cmd_compare)
 

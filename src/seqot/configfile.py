@@ -75,7 +75,6 @@ _KEYS = {
     "pretrain": (bool, "sil.pretrain"),
     "pretrain_smoothing": (float, "sil.pretrain_smoothing"),
     "bleu_order": (int, "sil.bleu_order"),
-    "outer_iters": (int, "sil.outer_iters"),
 }
 _KEY_OF = {dest: key for key, (_, dest) in _KEYS.items()}
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..ot_core import DEFAULT_IPOT, IpotConfig
 from ..text_metrics import BLEU_ORDERS
 from .buffer import BufferCriterion
 
@@ -72,14 +71,12 @@ class SilConfig:
     pretrain: bool = True
     pretrain_smoothing: float = 1.0
     bleu_order: int = 2
-    outer_iters: int = DEFAULT_IPOT.outer_iters  # the nested outer solve's step cap
 
     def __post_init__(self):
         if not 0 <= self.lambda_sil < math.inf:
             raise ValueError("lambda_sil must be finite and >= 0")
         if self.k < 1 or self.k_prime < 1:
             raise ValueError("k and k_prime must be >= 1")
-        IpotConfig(outer_iters=self.outer_iters)  # the outer solve's own check of its cap
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
         if not 0 < self.learning_rate < math.inf:

@@ -64,7 +64,7 @@ def _match(
         weights = np.full((len(hyps), len(refs)), 1.0 / (len(hyps) * len(refs)))
         rewards = np.array([[naive_semantic_score(table, h, r) for r in ref_words] for h in hyp_words])
         return weights, rewards
-    result = nested_wasserstein(table, hyp_words, ref_words, config.outer_iters)
+    result = nested_wasserstein(table, hyp_words, ref_words)
     return result.outer_plan.values, result.seq_reward_matrix
 
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from seqot import configfile
+from seqot import configfile, nested
 from seqot.cli import main, read_corpus
 from seqot.embeddings import load_embeddings
+from seqot.ot_core import IpotConfig
 from seqot.sil_rl.buffer import BufferCriterion
 from seqot.sil_rl.config import BaselineMode, SilVariant
 from seqot.sil_rl.envs import MarkovOracle, RewardKind
@@ -185,18 +186,32 @@ class TestNested:
         assert payload["w_nc"] <= 2e-3
         load_schema("nested_report.schema.json").validate(payload)
 
-    def test_unconverged_outer_plan_exits_two_writing_nothing(self, capsys, tmp_path):
+    def test_unconverged_outer_plan_exits_two_writing_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(nested, "_OUTER_GUARD", IpotConfig(outer_iters=1))
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         a.write_text("a\nb\n")
         b.write_text("a\nc\n")
         out = tmp_path / "nested.json"
-        code, _, err = run_cli(capsys, "nested", str(a), str(b), "--outer-iters", "1", "--embeddings", ORTHO,
-                               "--out", str(out))
+        code, _, err = run_cli(capsys, "nested", str(a), str(b), "--embeddings", ORTHO, "--out", str(out))
         assert code == 2
-        assert err == "error: outer solve did not converge within its step cap of 1; " \
-                      "raise --outer-iters / outer_iters\n"
+        assert err == "error: outer solve of the 2x2 problem did not converge within 1 steps\n"
         assert not out.exists()
+
+    def test_an_outer_solve_past_a_thousand_steps_runs_to_its_stop_rule(self, capsys, tmp_path):
+        # a 5x4 outer solve whose stop rule fires only at step 2062
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("primary child street main street along\ncycles bicycle youthful along\n"
+                     "street bike primary cow rides\nsingle rides bicycle down\nmain road main down bike cow\n")
+        b.write_text("child down\nstreet bicycle road down single\nroad kid bike bicycle one young\n"
+                     "young street single\n")
+        code, out, _ = run_cli(capsys, "nested", str(a), str(b), "--k", "5", "--k-prime", "4", "--embeddings", EMB)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outer_plan"]["converged"]
+        assert payload["outer_plan"]["iterations_used"] == 2062
+        assert payload["w_nc"] == 0.6236325310474431
 
     def test_single_pair_matches_score(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
@@ -283,7 +298,7 @@ def test_unknown_token_in_a_set_exits_two(capsys, tmp_path, command):
 
 BAD_FLAGS = [
     ("nested", flag, value)
-    for flag, value in (("--outer-iters", "0"), ("--k", "0"), ("--k", "-1"), ("--k-prime", "0"))
+    for flag, value in (("--k", "0"), ("--k", "-1"), ("--k-prime", "0"))
 ]
 
 
@@ -299,15 +314,27 @@ def test_out_of_range_flag_exits_two(capsys, corpora, command, flag, value):
 @pytest.mark.parametrize("flag, command", [
     *((flag, command) for flag in ("--gamma", "--outer-iters") for command in ("compare", "score")),
     ("--gamma", "nested"),
+    ("--outer-iters", "nested"),
 ])
 def test_solver_flags_belong_to_nested_only(capsys, corpora, command, flag):
-    # inner solves are exact: only nested runs a solve these flags govern,
-    # and its outer solve's one setting is the step cap
+    # inner solves are exact, and nested's outer solve runs to its stop
+    # rule at the default weight: no command takes a solver setting
     hyp, ref = corpora
     with pytest.raises(SystemExit) as exc:
         main([command, hyp, ref, flag, "1", "--embeddings", ORTHO])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["metrics", "compare"])
+def test_bleu_order_choices_are_the_metric_orders(capsys, corpora, command):
+    hyp, ref = corpora
+    with pytest.raises(SystemExit) as exc:
+        main([command, hyp, ref, "--order", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "[--order {2,3,4,5}]" in err
+    assert "argument --order: invalid choice: 7 (choose from 2, 3, 4, 5)" in err
 
 
 class TestMetrics:
@@ -469,7 +496,6 @@ pretrain = false
         assert "learning_rate" in err
 
     @pytest.mark.parametrize("lines, key", [
-        ("outer_iters = 0", "outer_iters"),
         ("temperature = 0", "temperature"),
         ("buffer_capacity = 0", "buffer_capacity"),
         ("reference_count = -1", "reference_count"),
@@ -520,11 +546,13 @@ pretrain = false
         "gamma = 0",
         "gamma = inf",
         "gamma = 0.5",
+        "outer_iters = 0",
+        "outer_iters = 1000",
     ])
     def test_removed_solver_keys_are_unknown(self, capsys, tmp_path, line):
         """The solver runs one Sinkhorn sweep per step to a fixed tolerance,
-        at the default proximal weight, so none of these settings is a key:
-        a file that sets one fails as unknown."""
+        at the default proximal weight, until its stop rule fires, so none of
+        these settings is a key: a file that sets one fails as unknown."""
         config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{line}\n")
         code, _, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
         key = line.partition(" ")[0]
@@ -532,20 +560,15 @@ pretrain = false
         assert f"unknown key '{key}'" in err
         assert not (tmp_path / "out").exists()
 
-    def test_unconverged_outer_plan_exits_two_writing_nothing(self, capsys, tmp_path):
+    def test_unconverged_outer_plan_exits_two_writing_nothing(self, capsys, tmp_path, monkeypatch):
         # the schedule fires self-imitation steps, whose outer solve cannot converge in one step
-        config = self.write_config(tmp_path, self.CONFIG + "outer_iters = 1\n")
+        monkeypatch.setattr(nested, "_OUTER_GUARD", IpotConfig(outer_iters=1))
+        config = self.write_config(tmp_path, self.CONFIG)
         code, out, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
         assert code == 2
-        assert "did not converge within its step cap of 1; raise --outer-iters / outer_iters" in err
+        assert "problem did not converge within 1 steps" in err
         assert out == ""
         assert not (tmp_path / "out").exists()
-
-    def test_solver_key_error_keeps_the_value(self, capsys, tmp_path):
-        config = self.write_config(tmp_path, "steps = 5\nvocab_size = 3\nhorizon = 2\nouter_iters = 0\n")
-        code, _, err = run_cli(capsys, "train", str(config))
-        assert code == 2
-        assert "outer_iters must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("lines", [
         "lambda_sil = 1e300\nlearning_rate = 1e10",
@@ -618,7 +641,6 @@ KEY_PROBES = {
     "pretrain": ("false", {}, lambda s: s.sil.pretrain, False),
     "pretrain_smoothing": ("2.0", {}, lambda s: s.sil.pretrain_smoothing, 2.0),
     "bleu_order": ("3", {"buffer_criterion": "f1_bleu"}, lambda s: s.sil.bleu_order, 3),
-    "outer_iters": ("50", {}, lambda s: s.sil.outer_iters, 50),
 }
 
 

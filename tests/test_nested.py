@@ -10,6 +10,7 @@ from seqot import (
     OovPolicy,
     exact_ot_oracle,
     load_embeddings,
+    nested,
     nested_wasserstein,
     score_pair,
 )
@@ -119,11 +120,14 @@ class TestInvariants:
             bound = 1.0 / len(set_a) + 1e-6
             assert np.all(np.abs(result.per_hyp_reward) <= bound)
 
-    def test_an_unconverged_outer_plan_raises(self):
+    def test_an_unconverged_outer_plan_raises(self, monkeypatch):
         table = basis_embedding_table(5)
         set_a, set_b = random_sets(table, 55, 3, 3)
-        with pytest.raises(OuterNotConvergedError, match="step cap of 1; raise --outer-iters / outer_iters"):
-            nested_wasserstein(table, set_a, set_b, outer_iters=1)
+        monkeypatch.setattr(nested, "_OUTER_GUARD", IpotConfig(outer_iters=1))
+        with pytest.raises(OuterNotConvergedError, match="^outer solve of the 3x3 problem did not converge "
+                                                         "within 1 steps$"):
+            nested_wasserstein(table, set_a, set_b)
+        monkeypatch.undo()
         assert nested_wasserstein(table, set_a, set_b).outer_plan.converged
 
     def test_result_internal_consistency(self):
@@ -182,11 +186,11 @@ class TestPairScoreMemo:
         assert warm.distance == cold.distance
 
     def test_configs_share_one_memo(self, fixtures_dir, count_inner_solves):
-        # inner solves are exact, so a second outer step cap reuses every pair
+        # inner solves are exact and take no config, so a second call reuses every pair
         table = self.fresh_table(fixtures_dir)
         set_a, set_b = random_sets(table, 4, 2, 2)
         first = nested_wasserstein(table, set_a, set_b)
-        second = nested_wasserstein(table, set_a, set_b, outer_iters=500)
+        second = nested_wasserstein(table, set_a, set_b)
         assert len(count_inner_solves) == 4
         assert np.array_equal(first.seq_cost_matrix, second.seq_cost_matrix)
         assert np.array_equal(first.seq_reward_matrix, second.seq_reward_matrix)
