@@ -4,7 +4,9 @@
 For each size ``n`` it builds eight uniform [0, 2) cost matrices of
 ``n x n`` from fixed seeds, solves each with ``assignment_solve`` and with
 ``ipot_solve``, and reports the best of ``--repeats`` passes in microseconds
-per solve. It imports ``seqot`` from this checkout's ``src/``:
+per solve. Since ``ipot_solve`` stops at its step cap or its stop rule,
+each size also reports the mean IPOT step count and how many of the eight
+IPOT solves converged. It imports ``seqot`` from this checkout's ``src/``:
 
     python3 scripts/solver_sizes.py --sizes 4,8,16,30,60,120 --repeats 5
 """
@@ -45,8 +47,11 @@ def main(argv=None) -> int:
     rows = []
     for n in (int(size) for size in args.sizes.split(",")):
         costs = [np.random.default_rng([n, k]).uniform(0, 2, (n, n)) for k in range(MATRICES)]
+        plans = [ipot_solve(cost) for cost in costs]
         rows.append({"n": n, **{f"{name}_us": best_us_per_solve(solve, costs, args.repeats)
-                                for name, solve in SOLVERS.items()}})
+                                for name, solve in SOLVERS.items()},
+                     "ipot_steps_mean": sum(plan.iterations_used for plan in plans) / MATRICES,
+                     "ipot_converged": sum(plan.converged for plan in plans)})
     print(json.dumps({"repeats": args.repeats, "matrices": MATRICES, "sizes": rows}, indent=1))
     return 0
 

@@ -84,10 +84,13 @@ def build_manifest(command: str, config: dict, inputs: list, seed: int | None) -
     }
 
 
-def _emit(args, config: dict, inputs: list, body: dict, table_text: str) -> None:
-    """Write a scoring command's JSON, its manifest first, or its ``--table`` text."""
+def _emit(args, config: dict, inputs: list, body: dict, table_rows: list) -> None:
+    """Write a scoring command's JSON, its manifest first, or with
+    ``--table`` its rows as CSV with ``\\n`` line ends."""
     if args.table:
-        rendered = table_text
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(table_rows)
+        rendered = buffer.getvalue()
     else:
         payload = {"manifest": build_manifest(args.command, config, inputs, args.seed), **body}
         rendered = json.dumps(payload, indent=2) + "\n"
@@ -129,17 +132,13 @@ def cmd_score(args) -> int:
         "mean_distance": float(np.mean([p["w_distance"] for p in pairs])),
         "mean_reward": float(np.mean([p["w_reward"] for p in pairs])),
     }
-    lines = ["index,w_distance,w_reward"]
-    lines += [f"{p['index']},{p['w_distance']!r},{p['w_reward']!r}" for p in pairs]
+    fields = ["index", "w_distance", "w_reward"]
     _emit(args, _resolved_common(args, {"mode": "corpus" if args.corpus else "pairwise"}),
-          [args.embeddings, args.hyp_file, args.ref_file], body, "\n".join(lines) + "\n")
+          [args.embeddings, args.hyp_file, args.ref_file], body, [fields, *([p[f] for f in fields] for p in pairs)])
     return 0
 
 
 def cmd_nested(args) -> int:
-    for flag, value in (("--k", args.k), ("--k-prime", args.k_prime)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
     table = _load_table(args)
     corpus_a = read_corpus(args.corpus_a, args.lowercase)
     corpus_b = read_corpus(args.corpus_b, args.lowercase)
@@ -161,10 +160,9 @@ def cmd_nested(args) -> int:
         "subsample_a": idx_a,
         "subsample_b": idx_b,
     }
-    lines = [f"w_nc,{result.distance!r}"]
-    lines += [f"r_ns[{i}],{r!r}" for i, r in enumerate(result.per_hyp_reward)]
+    rows = [["w_nc", result.distance], *([f"r_ns[{i}]", r] for i, r in enumerate(body["per_hyp_reward"]))]
     _emit(args, _resolved_common(args, {"k": args.k, "k_prime": args.k_prime}),
-          [args.embeddings, args.corpus_a, args.corpus_b], body, "\n".join(lines) + "\n")
+          [args.embeddings, args.corpus_a, args.corpus_b], body, rows)
     return 0
 
 
@@ -172,9 +170,8 @@ def cmd_metrics(args) -> int:
     hyps = read_corpus(args.hyp_file, args.lowercase)
     refs = read_corpus(args.ref_file, args.lowercase)
     report = asdict(BleuReport.compute(hyps, refs, args.order, seed=args.seed))
-    lines = [f"{k},{v!r}" for k, v in report.items()]
     _emit(args, {"order": args.order, "lowercase": bool(args.lowercase)}, [args.hyp_file, args.ref_file],
-          report, "\n".join(lines) + "\n")
+          report, list(report.items()))
     return 0
 
 
@@ -203,13 +200,9 @@ def cmd_compare(args) -> int:
             }
         )
 
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=["index", "bleu", "naive", "w_reward", "text"])
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in writer.fieldnames})
+    fields = ["index", "bleu", "naive", "w_reward", "text"]
     _emit(args, _resolved_common(args, {"order": args.order}), [args.embeddings, args.ref_file, *args.candidate_files],
-          {"reference": " ".join(ref), "candidates": rows}, buffer.getvalue())
+          {"reference": " ".join(ref), "candidates": rows}, [fields, *([row[f] for f in fields] for row in rows)])
     return 0
 
 
@@ -306,6 +299,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, least in (("--seed", 0), ("--k", 1), ("--k-prime", 1)):
+            value = getattr(args, flag[2:].replace("-", "_"), least)  # a command without the flag passes
+            if value < least:
+                raise UsageError(f"{flag} must be >= {least}, got {value}")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

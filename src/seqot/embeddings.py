@@ -45,49 +45,48 @@ class OovPolicy(str, Enum):
 
 
 class EmbeddingError(Exception):
-    """Base class for embedding-table failures."""
+    """Base class for embedding-table failures; the message starts with the input ``line`` at fault, if given."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
 
 
 class UnreadableFileError(EmbeddingError):
     def __init__(self, path, reason: str, line: int | None = None):
-        super().__init__(f"cannot read {path}: {reason}")
+        super().__init__(f"cannot read {path}: {reason}")  # the reason names the line
         self.path = path
         self.line = line
 
 
 class MalformedHeaderError(EmbeddingError):
     def __init__(self, line: int, detail: str):
-        super().__init__(f"line {line}: malformed header ({detail})")
-        self.line = line
+        super().__init__(f"malformed header ({detail})", line)
 
 
 class ArityMismatchError(EmbeddingError):
     def __init__(self, line: int, expected: int, got: int):
-        super().__init__(f"line {line}: expected {expected} vector components, got {got}")
-        self.line = line
+        super().__init__(f"expected {expected} vector components, got {got}", line)
         self.expected = expected
         self.got = got
 
 
 class InvalidValueError(EmbeddingError):
     def __init__(self, line: int, value: str):
-        super().__init__(f"line {line}: not a decimal number: {value!r}")
-        self.line = line
+        super().__init__(f"not a decimal number: {value!r}", line)
         self.value = value
 
 
 class ZeroVectorError(EmbeddingError):
     def __init__(self, line: int, token: str):
-        super().__init__(f"line {line}: token {token!r} has an all-zeros vector (cosine undefined)")
-        self.line = line
+        super().__init__(f"token {token!r} has an all-zeros vector (cosine undefined)", line)
         self.token = token
 
 
 class ReservedTokenError(EmbeddingError):
     def __init__(self, line: int | None = None):  # None: in a sequence to be scored
-        prefix, where = ("", "a sequence") if line is None else (f"line {line}: ", "a table")
-        super().__init__(f"{prefix}{PAD_TOKEN!r} is reserved and may not appear in {where}")
-        self.line = line
+        where = "a sequence" if line is None else "a table"
+        super().__init__(f"{PAD_TOKEN!r} is reserved and may not appear in {where}", line)
 
 
 class UnknownTokenError(EmbeddingError):
@@ -263,7 +262,8 @@ def _header(lines: list[bytes]) -> tuple[int, int]:
         declared, dim = int(head[0]), int(head[1])
     except ValueError:
         raise MalformedHeaderError(1, f"expected two integers, got {text!r}") from None
-    if dim < 1 or declared < 0:
+    # past this width numpy cannot allocate even zero rows of floats
+    if not 1 <= dim <= np.iinfo(np.intp).max // 8 or declared < 0:
         raise MalformedHeaderError(1, f"V={declared}, d={dim} out of range")
     return declared, dim
 

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .ot_core import IpotConfig, TransportPlan, ipot_solve
+from .ot_core import TransportPlan, ipot_solve
 from .seq_match import bag_costs, reward_bound, score_costs, score_pair, token_bag
 
 
@@ -50,16 +50,11 @@ class NestedSolveError(Exception):
 
 
 class OuterNotConvergedError(ValueError):
-    """The outer solve reached :data:`_OUTER_GUARD`'s step limit unconverged."""
+    """The outer solve reached :func:`ipot_solve`'s default step cap
+    unconverged."""
 
     def __init__(self, steps: int, shape: tuple[int, int]):
         super().__init__(f"outer solve of the {shape[0]}x{shape[1]} problem did not converge within {steps} steps")
-
-
-# Not a setting: a guard against a solve that never stops, 13x the most
-# steps measured (7519, at 160x159). Passed positionally, since the
-# benchmark's tracer reads a solve's cap from its second argument.
-_OUTER_GUARD = IpotConfig(outer_iters=100_000)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,15 +173,17 @@ def nested_wasserstein(
     """Solve all K*K' inner pairs, then one outer solve over their distances,
     run until its stop rule fires.
 
-    The proximal weight is the default: every weight leads to the same
-    maximum-entropy optimal plan and sets only the step count. Most outer
-    solves stop within tens of steps, but some take thousands: on uniform
-    [0, 2] costs, up to 5180 at 5x4 and 7519 at 160x159. A solve still
-    unconverged at the step guard raises :class:`OuterNotConvergedError`.
+    The solver runs in its one configuration, at the fixed weight
+    ``GAMMA``: every weight leads to the same maximum-entropy optimal plan
+    and sets only the step count. Most outer solves stop within tens of
+    steps, but some take thousands: on uniform [0, 2] costs, up to 5180 at
+    5x4 and 7519 at 160x159, and 17226 on one of A1's 5x5 instances. A
+    solve still unconverged at the default step cap of 100000 raises
+    :class:`OuterNotConvergedError`.
 
     With K = K' = 1 this degenerates to the plain sequence distance of the
     single pair. Once both sets are checked nonempty the outer costs are
-    finite and at least 1 x 1, so only an inner pair or the guard can fail.
+    finite and at least 1 x 1, so only an inner pair or the cap can fail.
     """
     if len(set_a) == 0:
         raise EmptySetError("A")
@@ -197,7 +194,7 @@ def nested_wasserstein(
             raise ValueError(f"set {name} contains an empty sequence")
 
     costs, rewards = score_matrices(table, set_a, set_b)
-    outer = ipot_solve(costs, _OUTER_GUARD)
+    outer = ipot_solve(costs)
     if not outer.converged:
         raise OuterNotConvergedError(outer.iterations_used, costs.shape)
     per_hyp = (outer.values * rewards).sum(axis=1)

@@ -108,3 +108,4 @@ def test_solver_sizes_prints_a_time_per_solver_and_size(capsys):
     assert [row["n"] for row in report["sizes"]] == [2, 4]
     for row in report["sizes"]:
         assert row["assignment_solve_us"] > 0 and row["ipot_solve_us"] > 0
+        assert row["ipot_steps_mean"] >= 1 and row["ipot_converged"] == 8

@@ -12,11 +12,12 @@ from referencing import Registry, Resource
 from seqot import configfile, nested
 from seqot.cli import main, read_corpus
 from seqot.embeddings import load_embeddings
-from seqot.ot_core import IpotConfig
+from seqot.ot_core import IpotConfig, ipot_solve
 from seqot.sil_rl.buffer import BufferCriterion
 from seqot.sil_rl.config import BaselineMode, SilVariant
 from seqot.sil_rl.envs import MarkovOracle, RewardKind
 from seqot.sil_rl.policy import PolicyKind
+from seqot.text_metrics import SELF_BLEU_CAP
 
 REPO = Path(__file__).resolve().parent.parent
 EMB = str(REPO / "fixtures" / "toy_embeddings.txt")
@@ -187,7 +188,7 @@ class TestNested:
         load_schema("nested_report.schema.json").validate(payload)
 
     def test_unconverged_outer_plan_exits_two_writing_nothing(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(nested, "_OUTER_GUARD", IpotConfig(outer_iters=1))
+        monkeypatch.setattr(nested, "ipot_solve", lambda cost: ipot_solve(cost, IpotConfig(outer_iters=1)))
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         a.write_text("a\nb\n")
@@ -297,18 +298,50 @@ def test_unknown_token_in_a_set_exits_two(capsys, tmp_path, command):
 
 
 BAD_FLAGS = [
-    ("nested", flag, value)
-    for flag, value in (("--k", "0"), ("--k", "-1"), ("--k-prime", "0"))
+    *(("nested", flag, value) for flag, value in (("--k", "0"), ("--k", "-1"), ("--k-prime", "0"))),
+    *((command, "--seed", "-1") for command in ("score", "nested", "metrics", "compare")),
 ]
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
-def test_out_of_range_flag_exits_two(capsys, corpora, command, flag, value):
-    hyp, ref = corpora
-    code, _, err = run_cli(capsys, command, hyp, ref, flag, value, "--embeddings", ORTHO)
+def test_out_of_range_flag_exits_two(capsys, tmp_path, command, flag, value):
+    # more lines than self-BLEU takes before it subsamples by the seed
+    corpus = str(tmp_path / "corpus.txt")
+    Path(corpus).write_text("a b\n" * (SELF_BLEU_CAP + 1))
+    embeddings = [] if command == "metrics" else ["--embeddings", ORTHO]
+    code, _, err = run_cli(capsys, command, corpus, corpus, flag, value, *embeddings)
     assert code == 2
     assert err.startswith(f"error: {flag} must be")
     assert f", got {value}" in err
+
+
+CANDIDATES, REFERENCE = str(TRIPLE / "candidates.txt"), str(TRIPLE / "reference.txt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", CANDIDATES, CANDIDATES, "--embeddings", EMB],
+    ["nested", CANDIDATES, REFERENCE, "--embeddings", EMB, "--k", "2", "--k-prime", "1"],
+    ["metrics", CANDIDATES, REFERENCE],
+    ["compare", REFERENCE, CANDIDATES, "--embeddings", EMB],
+], ids=lambda argv: argv[0])
+def test_every_table_is_csv_of_the_json_values(capsys, argv):
+    """Each ``--table`` line is a row of the JSON report, its floats as
+    Python writes them, ending in ``\\n``."""
+    _, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)
+    rows = {
+        "score": lambda: [["index", "w_distance", "w_reward"],
+                          *([p["index"], p["w_distance"], p["w_reward"]] for p in report["pairs"])],
+        "nested": lambda: [["w_nc", report["w_nc"]],
+                           *([f"r_ns[{i}]", r] for i, r in enumerate(report["per_hyp_reward"]))],
+        "metrics": lambda: [[k, v] for k, v in report.items() if k != "manifest"],
+        "compare": lambda: [["index", "bleu", "naive", "w_reward", "text"],
+                            *([c["index"], c["bleu"], c["naive"], c["w_reward"], c["text"]]
+                              for c in report["candidates"])],
+    }[argv[0]]()
+    code, table, _ = run_cli(capsys, *argv, "--table")
+    assert code == 0
+    assert table == "".join(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize("flag, command", [
@@ -562,7 +595,7 @@ pretrain = false
 
     def test_unconverged_outer_plan_exits_two_writing_nothing(self, capsys, tmp_path, monkeypatch):
         # the schedule fires self-imitation steps, whose outer solve cannot converge in one step
-        monkeypatch.setattr(nested, "_OUTER_GUARD", IpotConfig(outer_iters=1))
+        monkeypatch.setattr(nested, "ipot_solve", lambda cost: ipot_solve(cost, IpotConfig(outer_iters=1)))
         config = self.write_config(tmp_path, self.CONFIG)
         code, out, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
         assert code == 2
@@ -704,6 +737,14 @@ class TestUnreadableInput:
         hyp, ref = corpora
         code, _, err = run_cli(capsys, "score", hyp, ref, "--embeddings", str(table))
         assert (code, err) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("width", [2**63, 2**60], ids=["past-intp", "past-float-rows"])
+    def test_a_width_no_array_can_hold_is_out_of_range(self, capsys, tmp_path, corpora, width):
+        table = tmp_path / "e.txt"
+        table.write_text(f"1 {width}\na 1\n")
+        hyp, ref = corpora
+        code, _, err = run_cli(capsys, "score", hyp, ref, "--embeddings", str(table))
+        assert (code, err) == (2, f"error: line 1: malformed header (V=1, d={width} out of range)\n")
 
 
 # Characters that Python's str.split or str.splitlines break on but the input

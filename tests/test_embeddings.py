@@ -68,7 +68,7 @@ def per_line_load(path):
         declared, dim = int(head[0]), int(head[1])  # bytes: ASCII digits only
     except ValueError:
         raise MalformedHeaderError(1, f"expected two integers, got {lines[0].decode()!r}") from None
-    if dim < 1 or declared < 0:
+    if not 1 <= dim <= np.iinfo(np.intp).max // 8 or declared < 0:
         raise MalformedHeaderError(1, f"V={declared}, d={dim} out of range")
 
     entries, warnings = {}, []
@@ -291,6 +291,14 @@ class TestLoad:
         with pytest.raises(MalformedHeaderError) as err:
             load_embeddings(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("header, dim", [("0 5", 5), (f"0 {2**60 - 1}", 2**60 - 1)])
+    def test_a_header_only_table_loads_empty(self, tmp_path, header, dim):
+        # 2**60 - 1 is the widest a float array of no rows can be
+        path = tmp_path / "emb.txt"
+        path.write_text(header + "\n")
+        table = load_embeddings(path)
+        assert (table.dim, len(table)) == (dim, 0)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(UnreadableFileError):
@@ -539,5 +547,5 @@ class TestIdentityEquality:
         assert hash(first) == hash(first) and len({first, second}) == 2
 
     def test_solver_config_keeps_value_equality(self):
-        assert IpotConfig(0.5, 10) == IpotConfig(0.5, 10) != IpotConfig(0.25, 10)
-        assert hash(IpotConfig(0.5, 10)) == hash(IpotConfig(0.5, 10))
+        assert IpotConfig(10) == IpotConfig(10) != IpotConfig(20)
+        assert hash(IpotConfig(10)) == hash(IpotConfig(10))

@@ -16,7 +16,7 @@ from seqot import (
 )
 from seqot.embeddings import EmbeddingTable, build_cost_matrix
 from seqot.nested import EmptySetError, NestedSolveError, OuterNotConvergedError, best_matches, score_matrices
-from seqot.ot_core import ipot_solve
+from seqot.ot_core import GAMMA, ipot_solve
 from seqot.seq_match import reward_bound
 from seqot.sil_rl import basis_embedding_table
 
@@ -123,7 +123,7 @@ class TestInvariants:
     def test_an_unconverged_outer_plan_raises(self, monkeypatch):
         table = basis_embedding_table(5)
         set_a, set_b = random_sets(table, 55, 3, 3)
-        monkeypatch.setattr(nested, "_OUTER_GUARD", IpotConfig(outer_iters=1))
+        monkeypatch.setattr(nested, "ipot_solve", lambda cost: ipot_solve(cost, IpotConfig(outer_iters=1)))
         with pytest.raises(OuterNotConvergedError, match="^outer solve of the 3x3 problem did not converge "
                                                          "within 1 steps$"):
             nested_wasserstein(table, set_a, set_b)
@@ -229,11 +229,11 @@ class TestRewardBound:
         st.sampled_from(["random", "identical", "permutation", "subset"]),
         st.integers(1, 30),
         st.integers(1, 30),
-        st.floats(-3.0, 0.0),
+        st.floats(0.0, 3.0),
         st.sampled_from([1, 2, 5, 20, 1000]),
         st.integers(0, 2**32 - 1),
     )
-    def test_reward_never_exceeds_the_bound(self, kind, shape, hyp_len, ref_len, log_gamma, outer_iters, seed):
+    def test_reward_never_exceeds_the_bound(self, kind, shape, hyp_len, ref_len, log_stretch, outer_iters, seed):
         table = BOUND_TABLES[kind]
         rng = np.random.default_rng(seed)
         vocab = table.tokens()
@@ -244,10 +244,9 @@ class TestRewardBound:
             "permutation": lambda: [ref[t] for t in rng.permutation(ref_len)],
             "subset": lambda: [ref[t] for t in sorted(rng.choice(ref_len, min(hyp_len, ref_len), replace=False))],
         }[shape]()
-        config = IpotConfig(gamma=10.0**log_gamma, outer_iters=outer_iters)
-
         cost = build_cost_matrix(table, hyp, ref).values
-        plan = ipot_solve(cost, config)
+        # stretched costs: the kernel of a weight 10**-log_stretch, in [0.001, 1]
+        plan = ipot_solve(GAMMA * 10.0**log_stretch * cost, IpotConfig(outer_iters=outer_iters))
         size = cost.shape[0]
         eps = sys.float_info.epsilon
         # ipot_solve's column-mass invariant: no negative entry, no column past 1/L
