@@ -30,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingError, EmbeddingTable
 from .ot_core import TransportPlan, ipot_solve
-from .seq_match import bag_costs, reward_bound, score_costs, score_pair, token_bag
+from .seq_match import bag_costs, reward_bounds, score_costs, score_pair, token_bag, unit_rows
 
 
 class EmptySetError(ValueError):
@@ -50,8 +50,8 @@ class NestedSolveError(Exception):
 
 
 class OuterNotConvergedError(ValueError):
-    """The outer solve reached :func:`ipot_solve`'s default step cap
-    unconverged."""
+    """The outer solve stopped unconverged: at :func:`ipot_solve`'s
+    default step cap, or at a fixed point its stop rule cannot reach."""
 
     def __init__(self, steps: int, shape: tuple[int, int]):
         super().__init__(f"outer solve of the {shape[0]}x{shape[1]} problem did not converge within {steps} steps")
@@ -109,37 +109,47 @@ def best_matches(
     index ``np.argmax(score_matrices(...)[1], axis=1)`` picks, the lowest
     on an exact tie, and that pair's two floats, bit for bit.
 
-    Only the pairs whose :func:`reward_bound` can still win are solved.
-    Per hypothesis, every pair's cost matrix is built and bounded first, and
-    the matrices are kept for that row only; the references are then looked
-    up in the pair-score memo in descending bound order, ties by index, and
-    a miss is solved from its kept matrix, until the next bound is strictly
-    below the best reward found. When the best reference is well separated
-    from the rest, as a paraphrase is, that is one solve per hypothesis;
-    when every bound reaches the best reward, every pair is solved.
+    Only the pairs whose bound (:func:`seqot.seq_match.reward_bounds`) can
+    still win are solved. Per hypothesis, one product of its unit rows
+    against the references' stacked unit rows, gathered once, gives all its
+    bounds, so memory holds one L_h x sum(L_r) product at a time. The
+    references are then looked up in the pair-score memo in descending
+    bound order, ties by index, and a miss is built and solved, until the
+    next bound is strictly below the best reward found: one build and one
+    solve per hypothesis when its best reference is well separated, as a
+    paraphrase is, and every pair when every bound reaches the best reward.
+
+    A hypothesis whose unit rows, or the references', cannot be gathered (a
+    bad token or an empty sequence) has its pairs built in row-major order,
+    so the first failed build raises :class:`NestedSolveError` ``(i, j)``
+    at the pair the full grid reports.
     """
     if len(refs) == 0:
         raise EmptySetError("refs")
     memo = table.pair_scores
     hyp_keys, ref_keys = _keys(hyps), _keys(refs)
+    ref_rows = None
     best = []
     for i, hyp in enumerate(hyps):
-        costs = []
-        for j, ref in enumerate(refs):
-            try:
-                costs.append(bag_costs(table, hyp, ref))
-            except Exception as exc:
-                raise NestedSolveError(i, j) from exc
-        bounds = np.array([reward_bound(cm) for cm in costs])
+        try:
+            if ref_rows is None:
+                ref_rows = unit_rows(table, refs)
+            bounds = reward_bounds(unit_rows(table, [hyp])[0], *ref_rows)
+        except (EmbeddingError, ValueError):
+            for j, ref in enumerate(refs):
+                try:
+                    bag_costs(table, hyp, ref)
+                except Exception as exc:
+                    raise NestedSolveError(i, j) from exc
+            raise
         top = (-1, math.nan, -math.inf)
         for j in np.argsort(-bounds, kind="stable").tolist():
-            # Leaving a pair unsolved hides no error: the loop above built
-            # every cost matrix in row-major order, so a bad token fails at
-            # the (i, j) a full grid would report, and the costs are finite
-            # and in [0, 2], on which the exact solve cannot raise.
             if bounds[j] < top[2]:
                 break
-            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), score_costs, costs[j])
+            # Every token has a unit row and no sequence is empty, so the
+            # build cannot fail, and the exact solve of costs in [0, 2]
+            # cannot raise.
+            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), lambda: score_costs(bag_costs(table, hyp, refs[j])))
             if hit.imag > top[2] or (hit.imag == top[2] and j < top[0]):
                 top = (j, hit.real, hit.imag)
         best.append(top)
@@ -178,8 +188,8 @@ def nested_wasserstein(
     and sets only the step count. Most outer solves stop within tens of
     steps, but some take thousands: on uniform [0, 2] costs, up to 5180 at
     5x4 and 7519 at 160x159, and 17226 on one of A1's 5x5 instances. A
-    solve still unconverged at the default step cap of 100000 raises
-    :class:`OuterNotConvergedError`.
+    solve that stops unconverged, at the default step cap of 100000 or at a
+    fixed point, raises :class:`OuterNotConvergedError`.
 
     With K = K' = 1 this degenerates to the plain sequence distance of the
     single pair. Once both sets are checked nonempty the outer costs are

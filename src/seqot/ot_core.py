@@ -60,8 +60,9 @@ class TransportPlan:
     Frobenius product of ``values`` with the cost matrix it was solved
     against. ``converged`` records whether the stop rule fired: the last
     step moved no entry by more than ``FEASIBILITY_TOL`` and the plan met
-    both marginals within it. A plan stopped by ``outer_iters`` is not
-    converged, however close to feasible it is.
+    both marginals within it. A plan stopped by ``outer_iters``, or at a
+    fixed point the stop rule cannot reach, is not converged, however close
+    to feasible it is.
     """
 
     values: np.ndarray
@@ -88,20 +89,31 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
     one row scaling and one column scaling (Algorithm 1 of Xie et al. 2018,
     arXiv 1802.04307); the rebalanced plan becomes the next proximal center.
     The loop ends when its stop rule fires or after ``config.outer_iters``
-    steps, whichever comes first.
+    steps, whichever comes first, or at an exact fixed point, unconverged.
+
+    The plan and the column scaling ``sigma`` are the loop's whole state: a
+    step reads nothing else. So once a step leaves both unchanged bit for
+    bit, no later step can move them, and a stop rule that has not fired
+    never will. That happens when the kernel underflows and the plan has
+    lost mass: ``200 * default_rng(5).uniform(0, 2, (5, 5))`` reaches its
+    fixed point at step 1689, far short of the default cap. ``sigma``
+    is compared only on an iteration whose full step pass reads exactly
+    0.0, so a step that moves the plan costs nothing more.
 
     The loop runs in place: each solve allocates its work arrays once,
-    every step writes into them, and the current and next plan swap
-    buffers. On the small problems this library solves, the loop's time is
-    per-call overhead rather than arithmetic; the arithmetic is unchanged.
+    every step writes into them, and the plan and ``sigma`` each swap
+    between two buffers. On the small problems this library solves, the
+    loop's time is per-call overhead rather than arithmetic; the arithmetic
+    is unchanged.
 
     The stop test reads the stationarity step ``max|T_new - T|`` before the
     marginal violation, which is evaluated only on iterations whose step is
     within ``FEASIBILITY_TOL``. The full step pass is skipped while one witness
     element (the argmax of the last full pass, element 0 before the first)
     still moves by more than ``FEASIBILITY_TOL``, since the maximum then
-    does too. The stop rule, the plan and ``converged`` are the same as
-    evaluating both tests in full on every iteration.
+    does too. The stop rule, the fixed-point exit, the plan and
+    ``converged`` are the same as evaluating both tests in full on every
+    iteration.
 
     Column-mass invariant, converged or not: every returned plan is
     nonnegative, and each of its columns sums to at most ``1/m`` up to
@@ -135,6 +147,7 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
     delta = np.empty(n)
     delta_col = delta[:, None]
     sigma = np.full(m, 1.0 / m)
+    new_sigma = np.empty(m)
 
     witness = 0
     for it in range(1, config.outer_iters + 1):
@@ -143,22 +156,25 @@ def ipot_solve(cost: np.ndarray, config: IpotConfig = DEFAULT_IPOT) -> Transport
         np.multiply(row_count, delta, out=delta)
         np.maximum(delta, floor, out=delta)
         np.reciprocal(delta, out=delta)
-        q_t.dot(delta, out=sigma)
-        np.multiply(col_count, sigma, out=sigma)
-        np.maximum(sigma, floor, out=sigma)
-        np.reciprocal(sigma, out=sigma)
+        q_t.dot(delta, out=new_sigma)
+        np.multiply(col_count, new_sigma, out=new_sigma)
+        np.maximum(new_sigma, floor, out=new_sigma)
+        np.reciprocal(new_sigma, out=new_sigma)
         np.multiply(delta_col, q, out=new_plan)
-        np.multiply(new_plan, sigma, out=new_plan)
+        np.multiply(new_plan, new_sigma, out=new_plan)
         if abs(new_plan.item(witness) - plan.item(witness)) > tol:
-            stationary = False
+            stationary = fixed = False
         else:
             np.subtract(new_plan, plan, out=diff)
             np.abs(diff, out=diff)
             witness = diff.argmax()
-            stationary = diff.item(witness) <= tol
+            step = diff.item(witness)
+            stationary = step <= tol
+            fixed = step == 0.0 and np.array_equal(new_sigma, sigma)
         plan, new_plan = new_plan, plan
+        sigma, new_sigma = new_sigma, sigma
         converged = stationary and marginal_violation(plan) <= tol
-        if converged:
+        if converged or fixed:
             break
 
     return TransportPlan(

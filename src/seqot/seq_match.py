@@ -83,22 +83,59 @@ def score_costs(costs: CostMatrix) -> PairScore:
     return PairScore(distance=math.fsum(picked) / size, reward=math.fsum([1.0 - x for x in picked]) / size)
 
 
-def reward_bound(costs: CostMatrix) -> float:
-    """An upper bound on the reward :func:`score_costs` gives ``costs``,
-    without solving.
+def unit_rows(table: EmbeddingTable, seqs: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The cached unit rows of every token of ``seqs``, stacked in order,
+    and each sequence's length: the operands of :func:`reward_bounds`.
 
-    The exact plan puts mass exactly 1/L on one cell of each column, so
-    ``<T, 1 - C>`` is at most ``(1/L) sum_j max(0, 1 - min_i C_ij)``. Pad
-    cells cost exactly 1.0 and so never raise it.
-
-    The margin ``(L + 4)^2 * eps`` covers rounding, with C in [0, 2] and
-    u = eps/2. Each rounded term ``1 - C`` of the reward is at most the
-    rounded term ``1 - min_i C_ij`` of its column, since rounding is
-    monotone; the two sums of L terms in [-1, 1] each lose at most
-    (L - 1)Lu, which their division by L scales to (L - 1)u; and the two
-    divisions add u each. Together that is at most 2Lu, far under the
-    margin.
+    A bad token raises the table's error and an empty sequence
+    ``ValueError``, as a build of any pair holding it does.
     """
-    size = costs.values.shape[0]
-    gain = np.maximum(1.0 - costs.values.min(axis=0), 0.0).sum() / size
-    return float(gain) + (size + 4) ** 2 * sys.float_info.epsilon
+    lengths = [len(seq) for seq in seqs]
+    if not all(lengths):
+        raise ValueError("both sequences must be nonempty")
+    return np.array([table.unit_row(token) for seq in seqs for token in seq]), np.array(lengths)
+
+
+def reward_bounds(hyp_rows: np.ndarray, ref_rows: np.ndarray, ref_lengths: np.ndarray) -> np.ndarray:
+    """Upper bounds on the reward :func:`score_pair` gives one hypothesis
+    against each of a list of references, from one product of unit rows
+    (:func:`unit_rows`), without building or solving a pair.
+
+    The exact plan puts mass exactly 1/L on one cell of each column of the
+    pair's padded L x L matrix C, L = max(n, m), so ``<T, 1 - C>`` is at
+    most ``(1/L) sum_j max(0, 1 - min_i C_ij)``: the relaxed Word Mover's
+    Distance prune of Kusner et al. (ICML 2015). Pad cells cost exactly
+    1.0, so pad rows and pad columns never raise it, and the sum runs over
+    the reference's own m columns. Each column's least cost is read from
+    the product ``hyp_rows @ ref_rows.T`` as ``clip(1 - max_i u_i.v_j, 0,
+    2)``, which is ``min_i clip(1 - u_i.v_j, 0, 2)`` bit for bit, since
+    rounding is monotone.
+
+    The margin has two terms, with u = eps/2. The first, ``(L + 4)^2 *
+    eps``, covers rounding against the pair's own matrix C: each rounded
+    term ``1 - C`` of the reward is at most the rounded term ``1 - min_i
+    C_ij`` of its column, since rounding is monotone; the two sums of L
+    terms in [-1, 1] each lose at most (L - 1)Lu, which their division by L
+    scales to (L - 1)u; and the two divisions add u each. Together that is
+    at most 2Lu, far under the first term.
+
+    The second, ``8 * d * eps``, covers the difference between the product's
+    cells C' and C. Both dot the same cached unit rows, whose norms are
+    within (d + 4)u of 1, but in a different summation order, so each dot is
+    within ``gamma_d |u||v|``, gamma_d = du / (1 - du), of the exact one
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.1),
+    and the two within about 2du = d eps of each other. ``1 - x`` adds at
+    most eps to each side, and clipping is 1-Lipschitz. A cell of two equal
+    tokens is exactly 0 in C and ``clip(1 - u.u)`` in C', within about
+    (2d + 4)u of 0 by the same two bounds. So every cell differs by at most
+    delta = (d + 2) eps and a little. A column's least cost moves by at
+    most delta, its rounded gain by at most delta + eps, and the m gains,
+    summed and divided by L >= m, by at most delta + eps: about (d + 3)
+    eps, under the second term for every d >= 1.
+    """
+    closest = (hyp_rows @ ref_rows.T).max(axis=0)
+    gains = np.maximum(1.0 - np.clip(1.0 - closest, 0.0, 2.0), 0.0)
+    sizes = np.maximum(ref_lengths, len(hyp_rows))
+    starts = np.cumsum(ref_lengths) - ref_lengths
+    margins = ((sizes + 4.0) ** 2 + 8.0 * hyp_rows.shape[1]) * sys.float_info.epsilon
+    return np.add.reduceat(gains, starts) / sizes + margins

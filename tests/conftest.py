@@ -30,16 +30,25 @@ def fixtures_dir():
     return FIXTURES
 
 
+class Solves(list):
+    """The (hyp, ref) token-bag pairs solved, in order; ``built`` lists the
+    pairs whose cost matrix ``seq_match.build_cost_matrix`` built, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+
 @pytest.fixture
 def count_solves(monkeypatch):
-    """``count_solves(module_name)`` returns the list of (hyp, ref) token-bag
-    pairs that module goes on to solve: through its ``score_pair`` binding,
-    or through its ``score_costs`` binding on a matrix
-    ``seq_match.build_cost_matrix`` built."""
+    """``count_solves(module_name)`` returns the :class:`Solves` of the
+    (hyp, ref) token-bag pairs that module goes on to solve: through its
+    ``score_pair`` binding, or through its ``score_costs`` binding on a
+    matrix ``seq_match.build_cost_matrix`` built."""
 
-    def install(module_name: str) -> list:
+    def install(module_name: str) -> Solves:
         module = importlib.import_module(module_name)
-        solved = []
+        solved = Solves()
         built = {}  # id of each built matrix -> (the matrix, its pair)
         original_pair = module.score_pair
         original_build = seq_match.build_cost_matrix
@@ -51,6 +60,7 @@ def count_solves(monkeypatch):
         def recording_build(table, hyp, ref):
             costs = original_build(table, hyp, ref)
             built[id(costs)] = (costs, (tuple(hyp), tuple(ref)))
+            solved.built.append((tuple(hyp), tuple(ref)))
             return costs
 
         monkeypatch.setattr(module, "score_pair", counting_pair)

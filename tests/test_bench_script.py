@@ -109,3 +109,9 @@ def test_solver_sizes_prints_a_time_per_solver_and_size(capsys):
     for row in report["sizes"]:
         assert row["assignment_solve_us"] > 0 and row["ipot_solve_us"] > 0
         assert row["ipot_steps_mean"] >= 1 and row["ipot_converged"] == 8
+    # each hypothesis's paraphrase bounds the other references out, and
+    # only the pairs solved are built
+    assert [row["n"] for row in report["best_matches"]] == [2, 4]
+    for row in report["best_matches"]:
+        assert row["matrices_built"] == row["pairs_solved"] == row["n"]
+        assert row["best_matches_us"] > 0

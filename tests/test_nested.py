@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 
 import numpy as np
@@ -17,10 +18,10 @@ from seqot import (
 from seqot.embeddings import EmbeddingTable, build_cost_matrix
 from seqot.nested import EmptySetError, NestedSolveError, OuterNotConvergedError, best_matches, score_matrices
 from seqot.ot_core import GAMMA, ipot_solve
-from seqot.seq_match import reward_bound
+from seqot.seq_match import reward_bounds, unit_rows
 from seqot.sil_rl import basis_embedding_table
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO_ROOT
 
 
 def bag(seq) -> tuple:
@@ -213,7 +214,7 @@ def continuous_table(seed: int, size: int = 40, dim: int = 3) -> EmbeddingTable:
 
 
 def bound(table, hyp, ref):
-    return reward_bound(build_cost_matrix(table, hyp, ref))
+    return float(reward_bounds(unit_rows(table, [hyp])[0], *unit_rows(table, [ref]))[0])
 
 
 BOUND_TABLES = {"continuous": continuous_table(0), "basis": basis_embedding_table(12)}
@@ -259,18 +260,66 @@ class TestRewardBound:
         assert reward <= gain + size * eps
 
     def test_an_identical_pair_reads_exactly_one_under_the_bound(self):
-        # the bound before its margin is exactly 1.0, and so is the exact
-        # reward: the assignment picks only zero-cost cells
+        # the bound before its margin is exactly 1.0, since each column's
+        # nearest row is its own basis vector, and so is the exact reward:
+        # the assignment picks only zero-cost cells
         table = BOUND_TABLES["basis"]
         seq = ["4", "0", "3", "1", "4"]
         scored = score_pair(table, seq, seq)
         assert (scored.reward, scored.distance) == (1.0, 0.0)
-        assert bound(table, seq, seq) == 1.0 + 9**2 * sys.float_info.epsilon
+        assert bound(table, seq, seq) == 1.0 + (9**2 + 8 * table.dim) * sys.float_info.epsilon
 
     def test_pads_do_not_raise_the_bound(self, ortho_table):
-        # "a" matches one of the three reference columns; the pads match none
-        assert bound(ortho_table, ["a"], ["b", "a", "c"]) == pytest.approx(1 / 3, abs=1e-12)
-        assert bound(ortho_table, ["a"], ["b", "c", "d"]) == pytest.approx(0.0, abs=1e-12)
+        # "a" matches one of the three reference columns; the pads match
+        # none, and pad rows leave each column's nearest row as it is
+        margin = ((3 + 4) ** 2 + 8 * ortho_table.dim) * sys.float_info.epsilon
+        assert bound(ortho_table, ["a"], ["b", "a", "c"]) == 1 / 3 + margin
+        assert bound(ortho_table, ["a"], ["b", "c", "d"]) == margin
+        assert bound(ortho_table, ["b", "a", "c"], ["a"]) == 1 / 3 + margin
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([3, 50, 300]),
+        st.floats(-200.0, 3.0),
+        st.integers(1, 20),
+        st.lists(st.integers(1, 20), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_the_product_bounds_every_reward(self, dim, log_scale, hyp_len, ref_lens, seed):
+        rng = np.random.default_rng(seed)
+        rows = 10.0**log_scale * rng.standard_normal((6, dim))
+        entries = {f"t{i}": row for i, row in enumerate(rows)}
+        entries["twin"] = rows[0].copy()  # a distinct token with t0's vector
+        table = EmbeddingTable(dim=dim, entries=entries, oov_policy=OovPolicy.HASH_FALLBACK)
+        vocab = [*entries, "oov0", "oov1"]  # hash-OOV tokens
+        hyp = [vocab[t] for t in rng.integers(0, len(vocab), hyp_len)]
+        # shorter and longer than the hypothesis, so padded on either side,
+        # and the hypothesis itself, a pair whose exact reward is 1.0
+        refs = [[vocab[t] for t in rng.integers(0, len(vocab), m)] for m in ref_lens] + [list(hyp)]
+        bounds = reward_bounds(unit_rows(table, [hyp])[0], *unit_rows(table, refs))
+        for ref, ref_bound in zip(refs, bounds.tolist()):
+            assert score_pair(table, hyp, ref).reward <= ref_bound
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_best_matches_is_the_full_grid_argmax_on_a_clustered_table(self, seed):
+        table, hyps, refs = clustered_corpora(seed)
+        assert as_bits(best_matches(table, hyps, refs)) == argmax_matches(table, hyps, refs)
+
+
+def clustered_corpora(seed: int, count: int = 16):
+    """An in-memory table like ``eval-corpus``'s (``perfbench/gen.py``: 2000
+    tokens in 200 synonym clusters, d = 50), ``count`` references, a
+    paraphrase of each, and four unrelated hypotheses."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO_ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    vocab = gen.ClusteredVocabulary(gen.rng_for(seed, 0))
+    table = EmbeddingTable(dim=gen.TABLE_DIM, entries=dict(zip(vocab.names, vocab.vectors)))
+    rng = gen.rng_for(seed, 1)
+    hyps, refs = gen.paraphrase_corpora(vocab, rng, count)
+    hyps += vocab.sentences(rng, 4)
+    return table, [[vocab.names[t] for t in s] for s in hyps], [[vocab.names[t] for t in s] for s in refs]
 
 
 def argmax_matches(table, hyps, refs):
@@ -285,6 +334,11 @@ def argmax_matches(table, hyps, refs):
 
 def as_bits(matches):
     return [(j, distance.hex(), reward.hex()) for j, distance, reward in matches]
+
+
+UNKNOWN = "unknown token 'zebra' (strict OOV policy)"
+RESERVED = "'<PAD>' is reserved and may not appear in a sequence"
+EMPTY = "both sequences must be nonempty"
 
 
 class TestBestMatches:
@@ -348,6 +402,17 @@ class TestBestMatches:
         assert count_inner_solves == solved
         assert as_bits(again) == as_bits(first) * 3
 
+    def test_builds_only_the_pairs_it_solves(self, fixtures_dir, count_inner_solves):
+        # each hypothesis's paraphrase bounds every other reference out
+        table = load_embeddings(fixtures_dir / "toy_embeddings.txt")
+        hyps = [["young", "kid", "rides"], ["one", "bike", "down"], ["main", "road"], ["cow", "young"]]
+        refs = [["primary", "street"], ["youthful", "child", "cycles"], ["cow", "youthful"], ["single", "bicycle", "along"]]
+        matches = best_matches(table, hyps, refs)
+        assert [j for j, _, _ in matches] == [1, 3, 0, 2]
+        assert count_inner_solves == [(bag(hyp), bag(refs[j])) for hyp, (j, _, _) in zip(hyps, matches)]
+        assert count_inner_solves.built == count_inner_solves
+        assert as_bits(matches) == argmax_matches(load_embeddings(fixtures_dir / "toy_embeddings.txt"), hyps, refs)
+
     def test_shares_the_memo_with_score_matrices(self, fixtures_dir, count_inner_solves):
         table = load_embeddings(fixtures_dir / "toy_embeddings.txt")
         hyps, refs = random_sets(table, 11, 3, 4)
@@ -356,19 +421,28 @@ class TestBestMatches:
         best_matches(table, hyps, refs)
         assert count_inner_solves == []
 
-    @pytest.mark.parametrize("hyps, refs, pair", [
-        ([["a"], ["c", "zebra"]], [["a"], ["b"], ["c"]], (1, 0)),
-        ([["a"], ["b"]], [["a"], ["b"], ["c", "zebra"]], (0, 2)),
+    @pytest.mark.parametrize("hyps, refs, pair, cause", [
+        ([["a"], ["c", "zebra"]], [["a"], ["b"], ["c"]], (1, 0), UNKNOWN),
+        ([["a"], ["b"]], [["a"], ["b"], ["c", "zebra"]], (0, 2), UNKNOWN),
         # sorted, 'aardvark' comes first; the line's first bad token is named
-        ([["a"], ["c", "zebra", "aardvark"]], [["a"], ["b"], ["c"]], (1, 0)),
-        ([["a"], ["b"]], [["a"], ["b"], ["c", "zebra", "aardvark"]], (0, 2)),
-    ], ids=["hypothesis", "reference", "hypothesis-unsorted", "reference-unsorted"])
-    def test_unknown_token_fails_at_the_full_grid_pair(self, ortho_table, hyps, refs, pair):
+        ([["a"], ["c", "zebra", "aardvark"]], [["a"], ["b"], ["c"]], (1, 0), UNKNOWN),
+        ([["a"], ["b"]], [["a"], ["b"], ["c", "zebra", "aardvark"]], (0, 2), UNKNOWN),
+        ([["a"], ["c", "<PAD>"]], [["a"], ["b"], ["c"]], (1, 0), RESERVED),
+        ([["a"], ["b"]], [["a"], ["b"], ["<PAD>", "c"]], (0, 2), RESERVED),
+        # sorted, '<PAD>' comes first
+        ([["a"], ["c", "zebra", "<PAD>"]], [["a"], ["b"], ["c"]], (1, 0), UNKNOWN),
+        ([["a"], []], [["a"], ["b"], ["c"]], (1, 0), EMPTY),
+        ([["a"], ["b"]], [["a"], ["b"], []], (0, 2), EMPTY),
+        # a bad hypothesis before a bad reference: the grid meets it first
+        ([["zebra"], ["b"]], [["a"], ["<PAD>"]], (0, 0), UNKNOWN),
+    ], ids=["hypothesis", "reference", "hypothesis-unsorted", "reference-unsorted", "hypothesis-pad",
+            "reference-pad", "hypothesis-pad-unsorted", "hypothesis-empty", "reference-empty", "both"])
+    def test_unknown_token_fails_at_the_full_grid_pair(self, ortho_table, hyps, refs, pair, cause):
         for score in (score_matrices, best_matches):
             with pytest.raises(NestedSolveError) as err:
                 score(ortho_table, hyps, refs)
             assert (err.value.i, err.value.j) == pair
-            assert str(err.value.__cause__) == "unknown token 'zebra' (strict OOV policy)"
+            assert str(err.value.__cause__) == cause
 
 
 BAG_TABLES = {

@@ -363,7 +363,9 @@ class TestProperties:
 
 def every_iteration_ipot(cost, config=IpotConfig(), trace=None):
     """The solver loop as it was before the stationarity-first stop test:
-    the marginal violation is evaluated on every outer iteration."""
+    the marginal violation is evaluated on every outer iteration. Like the
+    solver, it stops unconverged at an exact fixed point, where neither the
+    plan nor the column scaling moved a bit."""
     c = np.asarray(cost, dtype=float)
     n, m = c.shape
     sigma = np.full(m, 1.0 / m)
@@ -374,7 +376,7 @@ def every_iteration_ipot(cost, config=IpotConfig(), trace=None):
     for it in range(1, config.outer_iters + 1):
         q = kernel * plan
         delta = 1.0 / np.maximum(n * (q @ sigma), EPSILON_FLOOR)
-        sigma = 1.0 / np.maximum(m * (q.T @ delta), EPSILON_FLOOR)
+        old_sigma, sigma = sigma, 1.0 / np.maximum(m * (q.T @ delta), EPSILON_FLOOR)
         new_plan = delta[:, None] * q * sigma[None, :]
         violation = marginal_violation(new_plan)
         step = float(np.abs(new_plan - plan).max())
@@ -383,6 +385,8 @@ def every_iteration_ipot(cost, config=IpotConfig(), trace=None):
             trace.append((it, violation, float((new_plan * c).sum())))
         plan = new_plan
         if violation <= FEASIBILITY_TOL and step <= FEASIBILITY_TOL:
+            break
+        if step == 0.0 and np.array_equal(sigma, old_sigma):
             break
     return TransportPlan(
         values=plan,
@@ -462,8 +466,12 @@ class TestStopTestMatchesEveryIterationCheck:
     # element 0 settles on step 7 while element 11 still moves, and
     # element 11 settles on step 16 while element 4 still moves
     WITNESS_SETTLES_FIRST = (np.random.default_rng(0).uniform(0, 2, (4, 4)), IpotConfig())
+    # the kernel underflows and the plan loses mass; from step 1689 on, no
+    # step moves the plan or the column scaling by a bit
+    FIXED_POINT = (200 * np.random.default_rng(5).uniform(0, 2, (5, 5)), IpotConfig())
     EDGES = [
         NEGATIVE,
+        FIXED_POINT,
         (np.random.default_rng(1).uniform(0, 2, (1, 1)), IpotConfig()),
         (np.random.default_rng(1).uniform(0, 2, (1, 9)), IpotConfig()),
         (np.random.default_rng(1).uniform(0, 2, (9, 1)), IpotConfig()),
@@ -495,6 +503,13 @@ class TestStopTestMatchesEveryIterationCheck:
         negative = ipot_solve(*self.NEGATIVE)
         assert negative.converged and np.isfinite(negative.values).all()
         assert full_step_passes(*self.WITNESS_SETTLES_FIRST) == [7, 16, 17]
+
+    def test_a_plan_at_a_fixed_point_stops_unconverged(self):
+        cost, config = self.FIXED_POINT
+        plan = ipot_solve(cost, config)
+        assert (plan.converged, plan.iterations_used) == (False, 1689)
+        assert marginal_violation(plan) > FEASIBILITY_TOL
+        assert np.array_equal(plan.values, ipot_solve(cost, IpotConfig(outer_iters=1688)).values)
 
     @settings(max_examples=150, deadline=None)
     @given(
