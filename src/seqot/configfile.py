@@ -68,12 +68,9 @@ _KEYS = {
     "sil_final": (float, "schedule.final"),
     "sil_ramp_steps": (int, "schedule.ramp_steps"),
     "baseline": (BaselineMode, "sil.baseline_mode"),
-    "baseline_decay": (float, "sil.baseline_decay"),
     "buffer_capacity": (int, "sil.buffer_capacity"),
     "buffer_criterion": (BufferCriterion, "sil.buffer_criterion"),
-    "buffer_dedupe": (bool, "sil.buffer_dedupe"),
     "pretrain": (bool, "sil.pretrain"),
-    "pretrain_smoothing": (float, "sil.pretrain_smoothing"),
     "bleu_order": (int, "sil.bleu_order"),
 }
 _KEY_OF = {dest: key for key, (_, dest) in _KEYS.items()}
@@ -84,8 +81,14 @@ _APPLIES_ONLY = {
     "conditions": ("env", RewardKind.CONDITIONAL),
     "oracle_concentration": ("env", RewardKind.MARKOV),
     "bleu_order": ("buffer_criterion", BufferCriterion.F1_BLEU),
-    "pretrain_smoothing": ("pretrain", True),
-    "baseline_decay": ("baseline", BaselineMode.CONSTANT),
+}
+
+# key -> the values under which training reads the environment's reference
+# set, so an environment without references cannot run them.
+_READS_REFERENCES = {
+    "pretrain": (True,),
+    "variant": (SilVariant.WSIL_D, SilVariant.SIL_D_NOW),
+    "buffer_criterion": (BufferCriterion.F1_BLEU, BufferCriterion.REFERENCE_REWARD),
 }
 
 
@@ -132,7 +135,9 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
     """Validate a parsed config and build what it describes. The file format
     owns five defaults: ``env = markov``, ``seed = 0``, ``env_seed = seed``,
     ``sil_ramp_steps = max(steps // 2, 1)`` and ``conditions = 4`` under
-    ``env = conditional``; a key its other settings make inert is an error."""
+    ``env = conditional``. A key its other settings make inert is an error,
+    and so is a setting that reads the reference set of an environment that
+    has none."""
     for key in raw_values:
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
@@ -166,6 +171,8 @@ def build_training_setup(raw_values: dict[str, str]) -> TrainingSetup:
                               f"got {setting} = {_show(settings[target][name])}")
     env = _make("env", ToyEnv.markov if env_kind is RewardKind.MARKOV else ToyEnv.overlap, args)
     policy = _make("policy", Policy.uniform, args, vocab_size=env.vocab_size, horizon=env.horizon)
-    if sil.pretrain and not any(env.references.values()):
-        raise ConfigError("key 'reference_count': pretrain = true needs at least 1 reference, got 0")
+    for key, readers in _READS_REFERENCES.items():
+        value = settings["sil"][_KEYS[key][1].partition(".")[2]]
+        if value in readers and not any(env.references.values()):
+            raise ConfigError(f"key 'reference_count': {key} = {_show(value)} needs at least 1 reference, got 0")
     return TrainingSetup(env=env, policy=policy, sil=sil, steps=steps, resolved=resolved)

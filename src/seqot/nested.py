@@ -32,7 +32,7 @@ import numpy as np
 
 from .embeddings import EmbeddingError, EmbeddingTable
 from .ot_core import TransportPlan, ipot_solve
-from .seq_match import bag_costs, reward_bounds, score_costs, score_pair, token_bag, unit_rows
+from .seq_match import bag_costs, reward_bounds, score_pair, token_bag, unit_rows
 
 
 class EmptySetError(ValueError):
@@ -93,7 +93,7 @@ def score_matrices(
     for i, hyp in enumerate(hyps):
         for j, ref in enumerate(refs):
             try:
-                hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), score_pair, table, hyp, ref)
+                hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), table, hyp, ref)
             except Exception as exc:
                 raise NestedSolveError(i, j) from exc
             distances[i, j], rewards[i, j] = hit.real, hit.imag
@@ -149,7 +149,7 @@ def best_matches(
             # Every token has a unit row and no sequence is empty, so the
             # build cannot fail, and the exact solve of costs in [0, 2]
             # cannot raise.
-            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), lambda: score_costs(bag_costs(table, hyp, refs[j])))
+            hit = _lookup(memo, (hyp_keys[i], ref_keys[j]), table, hyp, refs[j])
             if hit.imag > top[2] or (hit.imag == top[2] and j < top[0]):
                 top = (j, hit.real, hit.imag)
         best.append(top)
@@ -164,13 +164,13 @@ def _keys(seqs: Sequence[Sequence[str]]) -> list[tuple]:
     return [token_bag(map(sys.intern, seq)) for seq in seqs]
 
 
-def _lookup(memo: dict, key: tuple, solve, *args) -> complex:
-    """The memo entry for ``key``, filled on a miss from ``solve(*args)``.
-    One complex holds both floats exactly, in a third of the space of a
-    2-tuple."""
+def _lookup(memo: dict, key: tuple, table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) -> complex:
+    """The memo entry for ``key``, filled on a miss from ``score_pair(table,
+    hyp, ref)``. One complex holds both floats exactly, in a third of the
+    space of a 2-tuple."""
     hit = memo.get(key)
     if hit is None:
-        scored = solve(*args)
+        scored = score_pair(table, hyp, ref)
         hit = memo[key] = complex(scored.distance, scored.reward)
     return hit
 

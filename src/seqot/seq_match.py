@@ -43,9 +43,16 @@ def score_pair(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) ->
     """Solve the pair once and derive both distance and reward from the plan.
 
     The cost matrix comes from :func:`bag_costs`, so a pair gets the same
-    bits for every order of its tokens.
+    bits for every order of its tokens. It goes to the assignment core as
+    lists, without :func:`seqot.ot_core.assignment_solve`'s checks: the
+    costs are clipped into [0, 2] from finite unit rows, so they are finite
+    and ``8 * L * 2`` is too. Each sum is exactly rounded (``math.fsum``),
+    so it does not depend on the order of the assigned costs either.
     """
-    return score_costs(bag_costs(table, hyp, ref))
+    rows = bag_costs(table, hyp, ref).values.tolist()
+    picked = [row[j] for row, j in zip(rows, assign_rows(rows)[0])]
+    size = len(rows)
+    return PairScore(distance=math.fsum(picked) / size, reward=math.fsum([1.0 - x for x in picked]) / size)
 
 
 def bag_costs(table: EmbeddingTable, hyp: Sequence[str], ref: Sequence[str]) -> CostMatrix:
@@ -66,21 +73,6 @@ def token_bag(seq: Iterable[str]) -> tuple[str, ...]:
     """A sequence's tokens in the one order its cost matrices are built in:
     sorted, so every order of the same tokens gives the same matrix."""
     return tuple(sorted(seq))
-
-
-def score_costs(costs: CostMatrix) -> PairScore:
-    """:func:`score_pair` from the pair's already built cost matrix.
-
-    The matrix goes to the assignment core as lists, without
-    :func:`seqot.ot_core.assignment_solve`'s checks: the costs are clipped
-    into [0, 2] from finite unit rows, so they are finite and ``8 * L * 2``
-    is too. Each sum is exactly rounded (``math.fsum``), so it does not
-    depend on the order of the assigned costs either.
-    """
-    rows = costs.values.tolist()
-    picked = [row[j] for row, j in zip(rows, assign_rows(rows)[0])]
-    size = len(rows)
-    return PairScore(distance=math.fsum(picked) / size, reward=math.fsum([1.0 - x for x in picked]) / size)
 
 
 def unit_rows(table: EmbeddingTable, seqs: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,9 @@ Each condition keeps one list of entries in a fully specified order: score
 descending, then ``insert_step`` ascending, then arrival ascending. Once a
 condition is full, a newcomer must beat the lowest score; it then evicts
 the first entry of the lowest-score tail, the oldest of the lowest scores.
-With deduplication on, re-inserting an existing (condition, tokens) pair
-keeps whichever copy scores higher, and a replacement arrives when it
-replaces.
+A pool holds each token sequence at most once: re-inserting an existing
+(condition, tokens) pair keeps whichever copy scores higher, and a
+replacement arrives when it replaces.
 """
 
 from __future__ import annotations
@@ -58,11 +58,10 @@ class ReplayBuffer:
     dedupe lookup is a linear scan.
     """
 
-    def __init__(self, capacity: int, dedupe: bool = True):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.dedupe = dedupe
         self._pools: dict[int | None, list[BufferEntry]] = {}
 
     def __len__(self) -> int:
@@ -87,7 +86,7 @@ class ReplayBuffer:
     def add(self, entry: BufferEntry) -> bool:
         """Insert if there is room or the score beats the current minimum."""
         pool = self._pools.setdefault(entry.condition, [])
-        same = [i for i, e in enumerate(pool) if e.tokens == entry.tokens] if self.dedupe else []
+        same = [i for i, e in enumerate(pool) if e.tokens == entry.tokens]
         if same:
             if entry.reward <= pool[same[0]].reward:
                 return False

@@ -64,12 +64,9 @@ class SilConfig:
     variant: SilVariant = SilVariant.WSIL_I
     learning_rate: float = 0.05
     seed: int = 0
-    baseline_decay: float = 0.9
     buffer_capacity: int | None = None  # default: 64 unconditional, 5 per condition
     buffer_criterion: BufferCriterion = BufferCriterion.REWARD
-    buffer_dedupe: bool = True
     pretrain: bool = True
-    pretrain_smoothing: float = 1.0
     bleu_order: int = 2
 
     def __post_init__(self):
@@ -83,9 +80,5 @@ class SilConfig:
             raise ValueError("learning_rate must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 0.0 <= self.baseline_decay < 1.0:
-            raise ValueError("baseline_decay must lie in [0, 1)")
-        if not 0 < self.pretrain_smoothing < math.inf:
-            raise ValueError("pretrain_smoothing must be finite and positive")
         if self.bleu_order not in BLEU_ORDERS:
             raise ValueError(f"bleu_order must be one of {BLEU_ORDERS}, got {self.bleu_order}")

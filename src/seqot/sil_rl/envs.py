@@ -66,6 +66,10 @@ class MarkovOracle:
         alpha = np.full(vocab_size, concentration)
         initial = rng.dirichlet(alpha)
         transition = rng.dirichlet(alpha, size=vocab_size)
+        if not ((initial > 0).all() and (transition > 0).all()):
+            # a zero entry makes a sequence through it score log 0 = -inf
+            raise ValueError(f"concentration {concentration} is too small: the oracle drawn at seed {seed} "
+                             "has a zero probability, which would score a sequence -inf")
         # exact row normalization so the 1e-12 invariant holds
         initial = initial / initial.sum()
         transition = transition / transition.sum(axis=1, keepdims=True)

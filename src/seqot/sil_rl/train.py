@@ -75,9 +75,11 @@ def schedule_kinds(schedule: Schedule, steps: int) -> list[str]:
     return kinds
 
 
-def pretrain_mle(policy: Policy, env: ToyEnv, smoothing: float = 1.0) -> Policy:
-    """Fit the policy to the environment's reference corpus by count
-    normalization (additively smoothed); logits become log-frequencies.
+def pretrain_mle(policy: Policy, env: ToyEnv) -> Policy:
+    """Fit the policy to the environment's reference corpus by add-one
+    count normalization: a context seen n times, c of them followed by a
+    token, gives it probability (c + 1) / (n + V); logits become
+    log-frequencies.
 
     Each reference token is counted in the last logit row its context
     sums: the tabular kind fits every (position, previous-token) context;
@@ -89,7 +91,7 @@ def pretrain_mle(policy: Policy, env: ToyEnv, smoothing: float = 1.0) -> Policy:
         raise ValueError("pretraining needs a nonempty reference corpus")
     params = np.empty_like(policy.params)
     rows = policy.logit_rows(params)
-    counts = np.full(rows.shape, smoothing)
+    counts = np.ones(rows.shape)
     for ref in refs:
         prev = policy.start_index
         for t, tok in enumerate(ref[:env.horizon]):
@@ -118,9 +120,9 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
 
     policy = policy.copy()
     if config.pretrain:
-        policy = pretrain_mle(policy, env, config.pretrain_smoothing)
+        policy = pretrain_mle(policy, env)
 
-    buffer = ReplayBuffer(config.buffer_capacity or (5 if env.conditional else 64), config.buffer_dedupe)
+    buffer = ReplayBuffer(config.buffer_capacity or (5 if env.conditional else 64))
     kinds = schedule_kinds(config.schedule, steps)
     running_baseline = 0.0
     records: list[dict] = []
@@ -159,8 +161,9 @@ def train(env: ToyEnv, policy: Policy, config: SilConfig, steps: int, on_step=No
         if not (math.isfinite(grad_norm) and np.isfinite(params).all()):
             raise DivergedError(step)
         policy.params = params
-        decay = config.baseline_decay
-        running_baseline = decay * running_baseline + (1.0 - decay) * float(rewards.mean())
+        # a running mean at decay 0.9; the weight 1.0 - 0.9 rounds unlike
+        # 0.1, and every logged baseline is computed with it
+        running_baseline = 0.9 * running_baseline + (1.0 - 0.9) * float(rewards.mean())
         if on_step is not None:
             on_step(step, kind, policy)
 

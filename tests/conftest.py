@@ -42,14 +42,12 @@ class Solves(list):
 @pytest.fixture
 def count_solves(monkeypatch):
     """``count_solves(module_name)`` returns the :class:`Solves` of the
-    (hyp, ref) token-bag pairs that module goes on to solve: through its
-    ``score_pair`` binding, or through its ``score_costs`` binding on a
-    matrix ``seq_match.build_cost_matrix`` built."""
+    (hyp, ref) token-bag pairs that module goes on to solve through its
+    ``score_pair`` binding."""
 
     def install(module_name: str) -> Solves:
         module = importlib.import_module(module_name)
         solved = Solves()
-        built = {}  # id of each built matrix -> (the matrix, its pair)
         original_pair = module.score_pair
         original_build = seq_match.build_cost_matrix
 
@@ -59,20 +57,11 @@ def count_solves(monkeypatch):
 
         def recording_build(table, hyp, ref):
             costs = original_build(table, hyp, ref)
-            built[id(costs)] = (costs, (tuple(hyp), tuple(ref)))
             solved.built.append((tuple(hyp), tuple(ref)))
             return costs
 
         monkeypatch.setattr(module, "score_pair", counting_pair)
         monkeypatch.setattr(seq_match, "build_cost_matrix", recording_build)
-        if hasattr(module, "score_costs"):
-            original_costs = module.score_costs
-
-            def counting_costs(costs, *args, **kwargs):
-                solved.append(built[id(costs)][1])
-                return original_costs(costs, *args, **kwargs)
-
-            monkeypatch.setattr(module, "score_costs", counting_costs)
         return solved
 
     return install

@@ -23,6 +23,9 @@ REPO = Path(__file__).resolve().parent.parent
 EMB = str(REPO / "fixtures" / "toy_embeddings.txt")
 ORTHO = str(REPO / "fixtures" / "ortho_embeddings.txt")
 TRIPLE = REPO / "fixtures" / "synonym_triple"
+# A Markov env without references, unpretrained, whose every other step
+# is a self-imitation step.
+NO_REFERENCES = "reference_count = 0\npretrain = false\nsil_initial = 1\nsil_final = 1\nsil_ramp_steps = 0"
 
 
 def load_schema(name: str) -> Draft202012Validator:
@@ -541,15 +544,9 @@ pretrain = false
         ("env = conditional\noracle_concentration = 5.0", "oracle_concentration"),
         ("buffer_criterion = nested_reward", "reference_reward"),
         ("bleu_order = 3", "bleu_order"),
-        ("pretrain = false\npretrain_smoothing = 2.0", "pretrain_smoothing"),
-        ("baseline = greedy\nbaseline_decay = 0.5", "baseline_decay"),
         ("lambda_sil = nan", "lambda_sil"),
         ("lambda_sil = inf", "lambda_sil"),
         ("learning_rate = inf", "learning_rate"),
-        ("pretrain_smoothing = 0", "pretrain_smoothing"),
-        ("pretrain_smoothing = -1", "pretrain_smoothing"),
-        ("pretrain_smoothing = nan", "pretrain_smoothing"),
-        ("pretrain_smoothing = inf", "pretrain_smoothing"),
         ("temperature = inf", "temperature"),
         ("sil_initial = nan", "sil_initial"),
         ("buffer_criterion = f1_bleu\nbleu_order = 7", "bleu_order"),
@@ -562,6 +559,14 @@ pretrain = false
         ("oracle_concentration = -1", "oracle_concentration"),
         ("oracle_concentration = nan", "oracle_concentration"),
         ("oracle_concentration = inf", "oracle_concentration"),
+        # a draw with a zero probability, which a sampled sequence can hit
+        ("oracle_concentration = 0.05", "oracle_concentration"),
+        ("oracle_concentration = 0.02\nseed = 1", "oracle_concentration"),
+        # settings that read the reference set of a Markov env without one
+        (f"{NO_REFERENCES}\nvariant = wsil_d", "variant = wsil_d"),
+        (f"{NO_REFERENCES}\nvariant = sil_d_now", "variant = sil_d_now"),
+        (f"{NO_REFERENCES}\nbuffer_criterion = f1_bleu", "buffer_criterion = f1_bleu"),
+        (f"{NO_REFERENCES}\nbuffer_criterion = reference_reward", "buffer_criterion = reference_reward"),
     ])
     def test_out_of_range_value_named_exit_two(self, capsys, tmp_path, lines, key):
         config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{lines}\n")
@@ -581,11 +586,16 @@ pretrain = false
         "gamma = 0.5",
         "outer_iters = 0",
         "outer_iters = 1000",
+        "baseline_decay = 0.9",
+        "buffer_dedupe = false",
+        "pretrain_smoothing = 1.0",
     ])
-    def test_removed_solver_keys_are_unknown(self, capsys, tmp_path, line):
+    def test_removed_keys_are_unknown(self, capsys, tmp_path, line):
         """The solver runs one Sinkhorn sweep per step to a fixed tolerance,
-        at the default proximal weight, until its stop rule fires, so none of
-        these settings is a key: a file that sets one fails as unknown."""
+        at the default proximal weight, until its stop rule fires; training
+        keeps a running baseline at decay 0.9, a buffer that holds each
+        sequence once, and add-one pretraining counts. So none of these
+        settings is a key: a file that sets one fails as unknown."""
         config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{line}\n")
         code, _, err = run_cli(capsys, "train", str(config), "--out", str(tmp_path / "out"))
         key = line.partition(" ")[0]
@@ -616,8 +626,6 @@ pretrain = false
 
     @pytest.mark.parametrize("lines", [
         "buffer_criterion = f1_bleu\nbleu_order = 3",
-        "pretrain = true\npretrain_smoothing = 2.0",
-        "baseline = constant\nbaseline_decay = 0.5",
     ])
     def test_applies_only_key_trains_under_its_setting(self, capsys, tmp_path, lines):
         config = self.write_config(tmp_path, f"steps = 5\nvocab_size = 3\nhorizon = 2\n{lines}\n")
@@ -667,12 +675,9 @@ KEY_PROBES = {
     "sil_final": ("0.7", {}, lambda s: s.sil.schedule.final, 0.7),
     "sil_ramp_steps": ("9", {}, lambda s: s.sil.schedule.ramp_steps, 9),
     "baseline": ("greedy", {}, lambda s: s.sil.baseline_mode, BaselineMode.GREEDY),
-    "baseline_decay": ("0.5", {}, lambda s: s.sil.baseline_decay, 0.5),
     "buffer_capacity": ("7", {}, lambda s: s.sil.buffer_capacity, 7),
     "buffer_criterion": ("f1_bleu", {}, lambda s: s.sil.buffer_criterion, BufferCriterion.F1_BLEU),
-    "buffer_dedupe": ("false", {}, lambda s: s.sil.buffer_dedupe, False),
     "pretrain": ("false", {}, lambda s: s.sil.pretrain, False),
-    "pretrain_smoothing": ("2.0", {}, lambda s: s.sil.pretrain_smoothing, 2.0),
     "bleu_order": ("3", {"buffer_criterion": "f1_bleu"}, lambda s: s.sil.bleu_order, 3),
 }
 

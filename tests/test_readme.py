@@ -1,5 +1,6 @@
-"""README names every CLI option and config key, and no `seqot` flag the
-parser lacks, so a removed flag or key cannot linger in the docs."""
+"""README names every CLI option and config key, no `seqot` flag the parser
+lacks, and exactly the keys that apply only under another setting, so a
+removed flag or key cannot linger in the docs."""
 
 import argparse
 import re
@@ -68,3 +69,12 @@ def test_every_readme_flag_exists():
     for code in readme_inline_code():
         for flag in FLAG.findall(code):
             assert flag in every, f"README names {flag}, which no seqot command has"
+
+
+def test_applies_only_table_is_the_rule_table():
+    header = "| key | applies only under |\n| --- | --- |\n"
+    assert header in README, "README has no 'applies only under' table"
+    rows = README.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
+    documented = dict(re.fullmatch(r"\| `(\w+)` \| `(\w+ = \w+)` \|", row).groups() for row in rows)
+    assert documented == {key: f"{setting} = {configfile._show(value)}"
+                          for key, (setting, value) in configfile._APPLIES_ONLY.items()}

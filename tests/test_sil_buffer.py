@@ -47,18 +47,12 @@ class TestReplayBuffer:
         assert not buffer.add(entry([2], 1.0))
 
     def test_dedupe_keeps_higher_score(self):
-        buffer = ReplayBuffer(capacity=4, dedupe=True)
+        buffer = ReplayBuffer(capacity=4)
         buffer.add(entry([1, 2], 1.0, step=0))
         assert not buffer.add(entry([1, 2], 0.5, step=1))
         assert buffer.add(entry([1, 2], 2.0, step=2))
         assert len(buffer) == 1
         assert buffer.max_reward() == 2.0
-
-    def test_dedupe_off_allows_duplicates(self):
-        buffer = ReplayBuffer(capacity=4, dedupe=False)
-        buffer.add(entry([1, 2], 1.0))
-        buffer.add(entry([1, 2], 1.0))
-        assert len(buffer) == 2
 
     def test_per_condition_capacity(self):
         buffer = ReplayBuffer(capacity=2)
@@ -109,10 +103,10 @@ class TestReplayBuffer:
                 previous_min = current
 
 
-def model_add(pools, capacity, dedupe, new):
+def model_add(pools, capacity, new):
     """The documented rules on a plain list per condition in arrival order."""
     pool = pools.setdefault(new.condition, [])
-    same = [i for i, e in enumerate(pool) if dedupe and e.tokens == new.tokens]
+    same = [i for i, e in enumerate(pool) if e.tokens == new.tokens]
     if same:
         if new.reward <= pool[same[0]].reward:
             return False
@@ -145,15 +139,15 @@ ADDS = st.lists(
 
 class TestBufferModel:
     @settings(max_examples=300, deadline=None)
-    @given(capacity=st.integers(1, 6), dedupe=st.booleans(), adds=ADDS)
-    def test_matches_list_model(self, capacity, dedupe, adds):
-        buffer = ReplayBuffer(capacity, dedupe)
+    @given(capacity=st.integers(1, 6), adds=ADDS)
+    def test_matches_list_model(self, capacity, adds):
+        buffer = ReplayBuffer(capacity)
         pools = {}
         step = 0
         for condition, tokens, reward, next_step in adds:
             step += next_step
             new = entry(tokens, reward, condition, step)
-            assert buffer.add(new) == model_add(pools, capacity, dedupe, new)
+            assert buffer.add(new) == model_add(pools, capacity, new)
             assert len(buffer) == sum(len(pool) for pool in pools.values())
             for cond in (None, 0, 1):
                 expected = model_entries(pools.get(cond, []))

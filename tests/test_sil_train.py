@@ -91,16 +91,20 @@ class TestSchedule:
 class TestPretrain:
     def test_tabular_fit_matches_reference_frequencies(self):
         env = ToyEnv.markov(3, 2, seed=1, reference_count=64)
-        policy = pretrain_mle(Policy.tabular(3, 2), env, smoothing=1e-9)
+        # add-one counts: a context seen n times, c of them followed by a
+        # token, gives it (c + 1) / (n + V)
+        policy = pretrain_mle(Policy.tabular(3, 2), env)
         refs = env.references[None]
-        first = [r[0] for r in refs]
-        probs = policy.step_probs_batch(0, np.array([policy.start_index]))[0]
-        for token in range(3):
-            assert probs[token] == pytest.approx(first.count(token) / len(first), abs=1e-6)
+        contexts = [(0, policy.start_index, refs)] + [(1, prev, [r for r in refs if r[0] == prev]) for prev in range(3)]
+        for position, prev, seen in contexts:
+            probs = policy.step_probs_batch(position, np.array([prev]))[0]
+            nexts = [r[position] for r in seen]
+            for token in range(3):
+                assert probs[token] == pytest.approx((nexts.count(token) + 1) / (len(nexts) + 3), rel=1e-12)
 
     def test_linear_fit_produces_markov_logits(self):
         env = ToyEnv.markov(3, 2, seed=2, reference_count=32)
-        policy = pretrain_mle(Policy.linear(3, 2), env, smoothing=1.0)
+        policy = pretrain_mle(Policy.linear(3, 2), env)
         assert policy.kind is PolicyKind.LINEAR
         # position block untouched: step probabilities are position-independent
         assert np.allclose(policy.step_probs_batch(0, np.array([0])), policy.step_probs_batch(1, np.array([0])))
